@@ -1,11 +1,17 @@
 GO ?= go
 
-.PHONY: all build test race bench json-bench vet lint lint-dup fuzz crash chaos bench-compare throughput serve cluster
+.PHONY: all build perfbench-vet test race bench json-bench vet lint lint-dup fuzz crash chaos bench-compare throughput serve cluster
 
 all: build vet test
 
-build:
+build: perfbench-vet
 	$(GO) build ./...
+
+# perfbench/ is a nested module, so `go build ./...` above skips it. Vet
+# it against this checkout so an internal API change cannot break the
+# benchmark while every other check stays green.
+perfbench-vet:
+	cd perfbench && GOWORK=off $(GO) vet ./...
 
 test: vet
 	$(GO) test ./...

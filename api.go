@@ -222,7 +222,7 @@ func (b *Broker) Price(ctx context.Context, req PriceRequest) (resp *PriceRespon
 			resp.Prices[j] = info.Price
 			resp.Total += info.Price
 			resp.PerQuery[j] = info
-			addStats(&resp.Stats, info.Stats)
+			resp.Stats.Add(info.Stats)
 		}
 		return resp, nil
 	}
@@ -244,7 +244,7 @@ func (b *Broker) Price(ctx context.Context, req PriceRequest) (resp *PriceRespon
 			resp.Prices[j] = info.Price
 			resp.Total += info.Price
 			resp.PerQuery[j] = info
-			addStats(&resp.Stats, info.Stats)
+			resp.Stats.Add(info.Stats)
 		}
 		return resp, nil
 	}
@@ -252,7 +252,7 @@ func (b *Broker) Price(ctx context.Context, req PriceRequest) (resp *PriceRespon
 	for j := range qs {
 		resp.Total += prices[j]
 		resp.PerQuery[j] = QuoteInfo{Price: prices[j], Stats: stats[j], Cached: cached[j]}
-		addStats(&resp.Stats, stats[j])
+		resp.Stats.Add(stats[j])
 	}
 	return resp, nil
 }
@@ -288,10 +288,11 @@ func (b *Broker) purchaseLocked(ctx context.Context, req PurchaseRequest, q *exe
 	if err != nil {
 		return nil, err
 	}
-	ent, cached, err := b.disagreements(ctx, []*exec.Query{q}, disK)
+	ents, cached, err := b.exactEntries(ctx, WeightedCoverage, []*exec.Query{q}, true, func([]*exec.Query) string { return disK })
 	if err != nil {
 		return nil, err
 	}
+	ent := ents[0]
 	b.setLastStats(ent.stats)
 	// The sweep is done; nothing below blocks. Re-check ctx once so a
 	// cancellation that raced the sweep's completion still leaves the
@@ -334,7 +335,7 @@ func (b *Broker) purchaseLocked(ctx context.Context, req PurchaseRequest, q *exe
 			return nil, err
 		}
 	}
-	rec = &Receipt{Result: res, Cached: cached, Quoted: quoted, ReconcileDelta: reconcileDelta}
+	rec = &Receipt{Result: res, Cached: cached[0], Quoted: quoted, ReconcileDelta: reconcileDelta}
 	if req.Refund {
 		rec.Gross, rec.Refund, err = b.engine.RefundFromDisagreements(bs.h, ent.dis, q.SQL)
 	} else {
@@ -368,96 +369,24 @@ func (b *Broker) compileAll(sqls []string) ([]*exec.Query, error) {
 // priceBatchLocked prices k independent queries in one shared sweep with
 // per-entry cache provenance. Callers hold mu.RLock.
 func (b *Broker) priceBatchLocked(ctx context.Context, fn PricingFunc, qs []*exec.Query) ([]float64, []Stats, []bool, error) {
-	switch fn {
-	case WeightedCoverage, UniformEntropyGain:
-		entries, cached, err := batchEntries(ctx, b, qs, b.disKey,
-			func(ctx context.Context, miss []*exec.Query) ([]disEntry, error) {
-				var res [][]bool
-				var stats []Stats
-				var err error
-				if rs := b.sweeper; rs != nil {
-					res, stats, err = rs.SweepBits(ctx, sqlsOf(miss), SweepSpec{SupportGen: b.supportGen})
-				} else {
-					b.engineMu.Lock()
-					b.refreshEngineLocked()
-					res, stats, err = b.engine.DisagreementsMultiCtx(ctx, miss)
-					b.engineMu.Unlock()
-				}
-				if err != nil {
-					return nil, err
-				}
-				out := make([]disEntry, len(miss))
-				for x := range miss {
-					out[x] = disEntry{dis: res[x], stats: stats[x]}
-				}
-				return out, nil
-			})
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		prices := make([]float64, len(qs))
-		stats := make([]Stats, len(qs))
-		var sum pricing.Stats
-		for j := range qs {
-			p, err := b.engine.PriceFromDisagreements(fn, entries[j].dis)
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			prices[j] = p
-			stats[j] = entries[j].stats
-			addStats(&sum, entries[j].stats)
-		}
-		b.setLastStats(sum)
-		return prices, stats, cached, nil
-
-	case ShannonEntropy, QEntropy:
-		entries, cached, err := batchEntries(ctx, b, qs,
-			func(qs []*exec.Query) string { return b.entropyKey(fn, qs) },
-			func(ctx context.Context, miss []*exec.Query) ([]priceEntry, error) {
-				if rs := b.sweeper; rs != nil {
-					elems, stats, err := rs.SweepHashes(ctx, sqlsOf(miss), SweepSpec{SupportGen: b.supportGen})
-					if err != nil {
-						return nil, err
-					}
-					out := make([]priceEntry, len(miss))
-					for x := range miss {
-						p, err := b.engine.EntropyPriceFromHashes(fn, elems[x])
-						if err != nil {
-							return nil, err
-						}
-						out[x] = priceEntry{price: p, stats: stats[x]}
-					}
-					return out, nil
-				}
-				b.engineMu.Lock()
-				b.refreshEngineLocked()
-				elems, bases, err := b.engine.OutputHashesMultiCtx(ctx, miss)
-				b.engineMu.Unlock()
-				if err != nil {
-					return nil, err
-				}
-				out := make([]priceEntry, len(miss))
-				for x := range miss {
-					// Identical to the solo path: the price is a function
-					// of the element-hash partition alone.
-					p := b.engine.PricesFromHashes(elems[x], bases[x])[fn]
-					out[x] = priceEntry{price: p, stats: pricing.Stats{Naive: b.engine.Set.Size()}}
-				}
-				return out, nil
-			})
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		prices := make([]float64, len(qs))
-		stats := make([]Stats, len(qs))
-		var sum pricing.Stats
-		for j := range qs {
-			prices[j] = entries[j].price
-			stats[j] = entries[j].stats
-			addStats(&sum, entries[j].stats)
-		}
-		b.setLastStats(sum)
-		return prices, stats, cached, nil
+	keyOf := b.disKey
+	if fn.UsesHashes() {
+		keyOf = func(qs []*exec.Query) string { return b.entropyKey(fn, qs) }
 	}
-	return nil, nil, nil, fmt.Errorf("unknown pricing function %v", fn)
+	entries, cached, err := b.exactEntries(ctx, fn, qs, false, keyOf)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	prices := make([]float64, len(qs))
+	stats := make([]Stats, len(qs))
+	var sum pricing.Stats
+	for j, ent := range entries {
+		if prices[j], err = b.price(fn, ent); err != nil {
+			return nil, nil, nil, err
+		}
+		stats[j] = ent.stats
+		sum.Add(ent.stats)
+	}
+	b.setLastStats(sum)
+	return prices, stats, cached, nil
 }

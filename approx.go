@@ -33,7 +33,6 @@ import (
 	"qirana/internal/pricing"
 	"qirana/internal/sqlengine/ast"
 	"qirana/internal/sqlengine/exec"
-	"qirana/internal/support"
 )
 
 // zApprox is the normal quantile behind the MaxError→sample-size rule
@@ -151,7 +150,7 @@ func (b *Broker) approxQuoteLocked(ctx context.Context, fn PricingFunc, qs []*ex
 	b.obs.Add("approx_quotes", 1)
 	key := b.approxKey(fn, qs)
 	compute := func() (any, error) {
-		return b.approxSweepLocked(ctx, fn, qs, frac)
+		return b.approxSweep(ctx, fn, qs, SweepSpec{SampleFrac: frac, SampleSeed: b.seed})
 	}
 	v, cached, err := b.cached(ctx, key, compute)
 	if err != nil {
@@ -213,48 +212,28 @@ func (b *Broker) approxInfo(ent approxEntry, cached bool, maxErr float64) QuoteI
 	return info
 }
 
-// approxSweepLocked runs the sampled sweep — remotely through the shard
-// fan-out when a sweeper is installed (every shard recomputes the same
-// mask from the forwarded spec), locally through the engine's live-mask
-// machinery otherwise. Callers hold mu.RLock.
-func (b *Broker) approxSweepLocked(ctx context.Context, fn PricingFunc, qs []*exec.Query, frac float64) (approxEntry, error) {
-	n := b.engine.Set.Size()
-	mask := support.SampleMask(n, frac, b.seed, b.supportGen)
-	if rs := b.sweeper; rs != nil {
-		spec := SweepSpec{Bundle: true, SupportGen: b.supportGen, SampleFrac: frac, SampleSeed: b.seed}
-		switch fn {
-		case WeightedCoverage, UniformEntropyGain:
-			dis, stats, err := rs.SweepBits(ctx, sqlsOf(qs), spec)
-			if err != nil {
-				return approxEntry{}, err
-			}
-			est, err := b.engine.EstimateFromSampledDisagreements(fn, dis[0], mask)
-			if err != nil {
-				return approxEntry{}, err
-			}
-			return approxEntry{est: est, stats: stats[0]}, nil
-		case ShannonEntropy, QEntropy:
-			elems, stats, err := rs.SweepHashes(ctx, sqlsOf(qs), spec)
-			if err != nil {
-				return approxEntry{}, err
-			}
-			est, err := b.engine.EstimateFromSampledHashes(fn, elems[0], mask)
-			if err != nil {
-				return approxEntry{}, err
-			}
-			return approxEntry{est: est, stats: stats[0]}, nil
-		}
+// approxSweep sweeps qs as one bundle under spec — sampled, or degraded
+// — and estimates fn's price from the live mask the sweep reports: every
+// element outside it, unsampled or in a shard slice that did not answer,
+// is charged at its upper bound. Callers hold mu.RLock.
+func (b *Broker) approxSweep(ctx context.Context, fn PricingFunc, qs []*exec.Query, spec SweepSpec) (approxEntry, error) {
+	if !fn.Valid() {
 		return approxEntry{}, fmt.Errorf("unknown pricing function %v", fn)
 	}
-	b.engineMu.Lock()
-	defer b.engineMu.Unlock()
-	b.refreshEngineLocked()
-	b.engine.LastStats = pricing.Stats{}
-	est, err := b.engine.ApproxPriceCtx(ctx, fn, mask, qs...)
+	spec.Bundle, spec.Hashes = true, fn.UsesHashes()
+	r, err := b.sweep(ctx, qs, spec, nil)
 	if err != nil {
 		return approxEntry{}, err
 	}
-	return approxEntry{est: est, stats: b.engine.LastStats}, nil
+	est, err := b.engine.EstimateFromSweep(fn, r, 0)
+	if err != nil {
+		return approxEntry{}, err
+	}
+	ent := approxEntry{est: est, stats: r.Stats[0], degraded: spec.Degraded}
+	if spec.Degraded {
+		ent.missing = missingFrac(r.Live)
+	}
+	return ent, nil
 }
 
 // ---------------------------------------------------------------------
@@ -340,6 +319,13 @@ func (b *Broker) refineOne(job refineJob) {
 	if b.qc == nil {
 		return
 	}
+	// The refiner has no caller to hand a panic to: count it as a failed
+	// refinement rather than let one poisoned job take the process down.
+	defer func() {
+		if r := recover(); r != nil {
+			b.obs.Add("approx_refine_errors", 1)
+		}
+	}()
 	ctx := context.Background()
 	qs, err := b.compileAll(job.sqls)
 	if err != nil {

@@ -10,11 +10,10 @@ import (
 	"qirana/internal/obs"
 	"qirana/internal/pricing"
 	"qirana/internal/sqlengine/exec"
-	"qirana/internal/support"
 )
 
 // This file is the broker's cluster surface: the shard-side sweep slice
-// protocol plus the router-side RemoteSweeper hook.
+// protocol plus the router-side Sweeper hook.
 //
 // Sharded pricing splits ONE support-set sweep across N workers, each
 // walking a contiguous slice [Lo, Hi) of the global element index. The
@@ -50,64 +49,57 @@ var ErrReadOnly = errors.New("broker is read-only")
 // rebuilds the cluster from one saved support set.
 var ErrSupportMismatch = errors.New("support set mismatch")
 
-// SweepSpec describes how a remote sweep should run. It replaced the
-// old positional (bundle, supportGen) arguments when approximate
-// pricing landed: a sweep now also carries an optional sample spec, and
-// threading a third and fourth positional flag through every
-// implementation was the wrong shape for an interface expected to grow.
+// SweepSpec describes one support-set sweep: what it computes and which
+// elements it visits. The broker's local sweep and a router's shard
+// fan-out take the same spec; exact, sampled and degraded pricing differ
+// only in its mask fields.
 type SweepSpec struct {
 	// Bundle prices the sqls as ONE bundle (one output vector); false
 	// sweeps each query independently (one vector per query, still in
 	// one shared pass).
 	Bundle bool
+	// Hashes selects per-element output hashes (the entropy pricing
+	// functions) instead of disagreement bitmaps.
+	Hashes bool
 	// SupportGen is the caller's support-set generation, forwarded so a
 	// stale router and a resampled shard can never silently mix sets.
 	SupportGen uint64
-	// SampleFrac in (0, 1) requests a sampled sweep: every shard
-	// computes the SAME deterministic stratified mask
-	// (support.SampleMask over the full index space, keyed by
-	// SampleSeed and SupportGen) and sweeps only the sampled elements
-	// of its slice. 0 (or ≥1) sweeps everything. Unsampled positions of
-	// the returned vectors are zero; approximate folds read only
-	// sampled positions.
+	// SampleFrac in (0, 1) requests a sampled sweep of the deterministic
+	// stratified mask support.SampleMask(|S|, SampleFrac, SampleSeed,
+	// SupportGen); every shard recomputes the same mask over the full
+	// index space and sweeps only the sampled elements of its slice. 0
+	// (or ≥1) sweeps everything.
 	SampleFrac float64
 	// SampleSeed keys the sample mask. Shards use the caller's seed,
 	// never their own, so the reassembled vector has exactly the
 	// positions the caller's mask selects.
 	SampleSeed int64
+	// Degraded keeps every shard slice that answered within its retry
+	// budget instead of failing the whole sweep on the first shard fault;
+	// the result's Live mask then leaves out the slices that did not
+	// answer. Only an unsampled remote sweep can degrade.
+	Degraded bool
 }
 
 // Sampled reports whether the spec asks for a strict sub-sample.
 func (s SweepSpec) Sampled() bool { return s.SampleFrac > 0 && s.SampleFrac < 1 }
 
-// RemoteSweeper replaces the broker's local cold sweep with a remote
-// fan-out. Implementations (internal/shard.Fanout) partition [0, |S|)
-// across shards, collect SweepSliceResponses, and reassemble the
-// per-element vectors in global index order.
-type RemoteSweeper interface {
-	// SweepBits returns the full-length disagreement bitmap(s): one per
-	// query, or exactly one in bundle mode. Stats align with the outer
-	// slice.
-	SweepBits(ctx context.Context, sqls []string, spec SweepSpec) ([][]bool, []Stats, error)
-	// SweepHashes returns the full-length per-element output-hash
-	// vector(s) for the entropy pricing functions, shaped like SweepBits.
-	SweepHashes(ctx context.Context, sqls []string, spec SweepSpec) ([][]uint64, []Stats, error)
-}
+// SweepResult is one sweep's output: per output (one for a bundle, one
+// per query otherwise) the full-length bits or hashes and the Stats of
+// the elements swept. Live marks the elements the vectors cover (nil =
+// all); positions outside it are zero, and the approximate folds charge
+// them at their upper bound.
+type SweepResult = pricing.SweepResult
 
-// DegradedSweeper is the optional fault-tolerant extension of
-// RemoteSweeper (implemented by internal/shard.Fanout). Where the exact
-// sweeps are all-or-nothing, the degraded variants return whatever
-// slices answered within the retry budget plus an element-level live
-// mask; dead slices are zero-filled and excluded from Stats. The broker
-// feeds the mask into the PR 9 estimators as if the dead slices were
-// simply unsampled, which prices the missing weight at its upper bound
-// — a sound, arbitrage-safe over-quote (DESIGN.md §14). Implementations
-// must return an error (never an all-false mask) when no slice at all
-// survived.
-type DegradedSweeper interface {
-	RemoteSweeper
-	SweepBitsDegraded(ctx context.Context, sqls []string, spec SweepSpec) ([][]bool, []Stats, []bool, error)
-	SweepHashesDegraded(ctx context.Context, sqls []string, spec SweepSpec) ([][]uint64, []Stats, []bool, error)
+// Sweeper replaces the broker's local cold sweep with a remote fan-out.
+// Implementations (internal/shard.Fanout) partition [0, |S|) across
+// shards, collect SweepSliceResponses, and reassemble the per-element
+// vectors in global index order. An exact sweep either returns every
+// slice or fails; a Degraded one reports the slices it lost through
+// SweepResult.Live and must fail (never return an all-false mask) when
+// no slice at all answered.
+type Sweeper interface {
+	Sweep(ctx context.Context, sqls []string, spec SweepSpec) (SweepResult, error)
 }
 
 // RetryAfterHinter is implemented by errors that know how long the
@@ -134,7 +126,7 @@ func RetryAfterHint(err error) (time.Duration, bool) {
 // purchase folds, the ledger and served prices are unchanged. If the
 // sweeper can carry metrics (AttachObs), it is wired into the broker's
 // registry so fan-out counters and latencies surface in Metrics().
-func (b *Broker) SetRemoteSweeper(rs RemoteSweeper) {
+func (b *Broker) SetRemoteSweeper(rs Sweeper) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.sweeper = rs
@@ -217,15 +209,10 @@ type SweepSliceResponse struct {
 	Rows int `json:"rows"`
 }
 
-// sliceBitsEntry is one query's cached slice sweep: the packed bits of
-// [lo, hi) plus that slice's share of the Stats.
-type sliceBitsEntry struct {
+// sliceEntry is one cached slice sweep of one output: the packed bits or
+// the hashes of [lo, hi) plus that slice's share of the Stats.
+type sliceEntry struct {
 	packed []byte
-	stats  pricing.Stats
-}
-
-// sliceHashEntry is the entropy-side equivalent of sliceBitsEntry.
-type sliceHashEntry struct {
 	hashes []uint64
 	stats  pricing.Stats
 }
@@ -233,10 +220,11 @@ type sliceHashEntry struct {
 // SweepSlice serves one shard sweep: it walks ONLY the elements in
 // [req.Lo, req.Hi) (the rest are masked out exactly like history-aware
 // pricing masks owned elements) and returns the slice's bits or hashes.
-// Slices are cached in the shard's quote cache under keys that embed
-// the slice bounds and the same generation/version discipline as local
-// quote keys, so repeated router misses for the same query cost zero
-// rows (Rows reports the true number swept).
+// Each output — the bundle, or one query of an independent batch — is
+// cached in the shard's quote cache under a key that embeds the slice
+// bounds, the output kind, any sample, and the same generation/version
+// discipline as local quote keys, so repeated router misses for the same
+// query cost zero rows (Rows reports the true number swept).
 func (b *Broker) SweepSlice(ctx context.Context, req SweepSliceRequest) (*SweepSliceResponse, error) {
 	b.obs.Add("shard_sweep_requests", 1)
 	defer b.obs.Timer("shard_sweep")()
@@ -257,144 +245,59 @@ func (b *Broker) SweepSlice(ctx context.Context, req SweepSliceRequest) (*SweepS
 	if req.Lo < 0 || req.Hi < req.Lo || req.Hi > size {
 		return nil, fmt.Errorf("sweep slice [%d, %d) out of range for support set of size %d", req.Lo, req.Hi, size)
 	}
-	live := make([]bool, size)
+	slice := make([]bool, size)
 	for i := req.Lo; i < req.Hi; i++ {
-		live[i] = true
+		slice[i] = true
 	}
-	// A sampled sweep intersects the slice with the caller's global
-	// sample mask — recomputed here from (frac, seed, gen), identical on
-	// every shard — and caches under sample-suffixed keys so exact and
-	// sampled slices never alias. width stays the full slice width (the
-	// wire vectors keep their shape); rows/stats count sampled elements.
-	sampleSuffix := ""
-	sampledWidth := req.Hi - req.Lo
-	if req.SampleFrac > 0 && req.SampleFrac < 1 {
-		mask := support.SampleMask(size, req.SampleFrac, req.SampleSeed, req.SupportGen)
-		sampledWidth = 0
-		for i := req.Lo; i < req.Hi; i++ {
-			live[i] = mask[i]
-			if mask[i] {
-				sampledWidth++
-			}
-		}
-		sampleSuffix = fmt.Sprintf("|smp:%g,%d", req.SampleFrac, req.SampleSeed)
+	spec := SweepSpec{Bundle: req.Bundle, Hashes: req.Hashes, SampleFrac: req.SampleFrac, SampleSeed: req.SampleSeed}
+	// The key separates bits from hashes and exact from sampled slices;
+	// the wire vectors keep the full slice width either way.
+	sample := ""
+	if spec.Sampled() {
+		sample = fmt.Sprintf("|smp:%g,%d", req.SampleFrac, req.SampleSeed)
 	}
-	resp := &SweepSliceResponse{SupportGen: b.supportGen, Lo: req.Lo, Hi: req.Hi}
-	width := sampledWidth
-	// rows counts elements swept by THIS call: the counters live inside
-	// the compute closures, which cache hits and coalesced flights skip.
+	// rows counts elements swept by THIS call: the counter lives inside
+	// the sweep closure, which cache hits and coalesced flights skip.
 	rows := 0
-	switch {
-	case req.Hashes && req.Bundle:
-		key := fmt.Sprintf("sh|b|%d,%d|%s", req.Lo, req.Hi, b.disKey(qs)) + sampleSuffix
-		v, _, err := b.cached(ctx, key, func() (any, error) {
-			b.engineMu.Lock()
-			defer b.engineMu.Unlock()
-			b.refreshEngineLocked()
-			b.engine.LastStats = pricing.Stats{}
-			elems, _, err := b.engine.OutputHashesLiveCtx(ctx, qs, live)
+	entries, _, err := batchEntries(ctx, b, qs, req.Bundle,
+		func(qs []*exec.Query) string {
+			return fmt.Sprintf("s|%d,%d|hashes=%t|%s", req.Lo, req.Hi, req.Hashes, b.disKey(qs)) + sample
+		},
+		func(ctx context.Context, miss []*exec.Query) ([]sliceEntry, error) {
+			r, err := b.sweep(ctx, miss, spec, slice)
 			if err != nil {
 				return nil, err
 			}
-			rows += width
-			b.obs.Add("shard_rows_swept", uint64(width))
-			return sliceHashEntry{hashes: append([]uint64(nil), elems[req.Lo:req.Hi]...), stats: b.engine.LastStats}, nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		ent := v.(sliceHashEntry)
-		resp.Hashes = [][]uint64{ent.hashes}
-		resp.Stats = []Stats{ent.stats}
-
-	case req.Hashes:
-		entries, _, err := batchEntries(ctx, b, qs,
-			func(qs []*exec.Query) string {
-				return fmt.Sprintf("sh|m|%d,%d|%s", req.Lo, req.Hi, b.disKey(qs)) + sampleSuffix
-			},
-			func(ctx context.Context, miss []*exec.Query) ([]sliceHashEntry, error) {
-				b.engineMu.Lock()
-				b.refreshEngineLocked()
-				elems, _, err := b.engine.OutputHashesMultiLiveCtx(ctx, miss, live)
-				b.engineMu.Unlock()
-				if err != nil {
-					return nil, err
+			width := 0
+			for _, ok := range r.Live[req.Lo:req.Hi] {
+				if ok {
+					width++
 				}
-				rows += width * len(miss)
-				b.obs.Add("shard_rows_swept", uint64(width*len(miss)))
-				out := make([]sliceHashEntry, len(miss))
-				for x := range miss {
-					out[x] = sliceHashEntry{
-						hashes: append([]uint64(nil), elems[x][req.Lo:req.Hi]...),
-						// The single-node batch path reports Naive=|S| per
-						// query; this slice's share is its width.
-						stats: pricing.Stats{Naive: width},
-					}
-				}
-				return out, nil
-			})
-		if err != nil {
-			return nil, err
-		}
-		resp.Hashes = make([][]uint64, len(qs))
-		resp.Stats = make([]Stats, len(qs))
-		for j, ent := range entries {
-			resp.Hashes[j] = ent.hashes
-			resp.Stats[j] = ent.stats
-		}
-
-	case req.Bundle:
-		key := fmt.Sprintf("ss|b|%d,%d|%s", req.Lo, req.Hi, b.disKey(qs)) + sampleSuffix
-		v, _, err := b.cached(ctx, key, func() (any, error) {
-			b.engineMu.Lock()
-			defer b.engineMu.Unlock()
-			b.refreshEngineLocked()
-			dis, err := b.engine.DisagreementsCtx(ctx, qs, live)
-			if err != nil {
-				return nil, err
 			}
-			rows += width
-			b.obs.Add("shard_rows_swept", uint64(width))
-			return sliceBitsEntry{packed: durable.PackBits(dis[req.Lo:req.Hi]), stats: b.engine.LastStats}, nil
+			rows += width * len(r.Stats)
+			b.obs.Add("shard_rows_swept", uint64(width*len(r.Stats)))
+			out := make([]sliceEntry, len(r.Stats))
+			for x := range out {
+				out[x].stats = r.Stats[x]
+				if r.Hashes != nil {
+					out[x].hashes = append([]uint64(nil), r.Hashes[x][req.Lo:req.Hi]...)
+				} else {
+					out[x].packed = durable.PackBits(r.Bits[x][req.Lo:req.Hi])
+				}
+			}
+			return out, nil
 		})
-		if err != nil {
-			return nil, err
-		}
-		ent := v.(sliceBitsEntry)
-		resp.Bits = [][]byte{ent.packed}
-		resp.Stats = []Stats{ent.stats}
-
-	default:
-		entries, _, err := batchEntries(ctx, b, qs,
-			func(qs []*exec.Query) string {
-				return fmt.Sprintf("ss|m|%d,%d|%s", req.Lo, req.Hi, b.disKey(qs)) + sampleSuffix
-			},
-			func(ctx context.Context, miss []*exec.Query) ([]sliceBitsEntry, error) {
-				b.engineMu.Lock()
-				b.refreshEngineLocked()
-				res, stats, err := b.engine.DisagreementsMultiLiveCtx(ctx, miss, live)
-				b.engineMu.Unlock()
-				if err != nil {
-					return nil, err
-				}
-				rows += width * len(miss)
-				b.obs.Add("shard_rows_swept", uint64(width*len(miss)))
-				out := make([]sliceBitsEntry, len(miss))
-				for x := range miss {
-					out[x] = sliceBitsEntry{packed: durable.PackBits(res[x][req.Lo:req.Hi]), stats: stats[x]}
-				}
-				return out, nil
-			})
-		if err != nil {
-			return nil, err
-		}
-		resp.Bits = make([][]byte, len(qs))
-		resp.Stats = make([]Stats, len(qs))
-		for j, ent := range entries {
-			resp.Bits[j] = ent.packed
-			resp.Stats[j] = ent.stats
-		}
+	if err != nil {
+		return nil, err
 	}
-	resp.Rows = rows
+	resp := &SweepSliceResponse{SupportGen: b.supportGen, Lo: req.Lo, Hi: req.Hi, Rows: rows}
+	for _, ent := range entries {
+		if req.Hashes {
+			resp.Hashes = append(resp.Hashes, ent.hashes)
+		} else {
+			resp.Bits = append(resp.Bits, ent.packed)
+		}
+		resp.Stats = append(resp.Stats, ent.stats)
+	}
 	return resp, nil
 }

@@ -725,8 +725,11 @@ func approxGroup(r *runner, seed int64, supportN int) {
 			var est pricing.Estimate
 			name := fmt.Sprintf("%s/frac=%g", wq.name, frac)
 			r.measure("approx", name, 1, func() error {
-				var err error
-				est, err = e.ApproxPriceCtx(ctx, wq.fn, mask, q)
+				sw, err := e.Sweep(ctx, []*exec.Query{q}, pricing.SweepSpec{Bundle: true, Hashes: wq.fn.UsesHashes(), Live: mask})
+				if err != nil {
+					return err
+				}
+				est, err = e.EstimateFromSweep(wq.fn, sw, 0)
 				return err
 			})
 			got[name] = cell{ns: r.out[len(r.out)-1].NsPerOp, price: est.Price, point: est.Point}

@@ -25,24 +25,16 @@ package qirana
 import (
 	"context"
 	"errors"
-	"fmt"
 
 	"qirana/internal/sqlengine/exec"
 )
 
 // canDegrade reports whether a failed sweep may fall back to a degraded
-// quote: degradation enabled, the caller still waiting, the failure a
-// shard outage (not a bad request), and the installed sweeper able to
-// deliver partial slices. Callers hold mu.RLock.
+// quote: degradation enabled, the caller still waiting, and the failure a
+// shard outage (not a bad request) — which only a router's remote sweep
+// can raise.
 func (b *Broker) canDegrade(ctx context.Context, err error) bool {
-	if b.opts.DisableDegradedQuotes || ctx.Err() != nil {
-		return false
-	}
-	if !errors.Is(err, ErrShardUnavailable) {
-		return false
-	}
-	_, ok := b.sweeper.(DegradedSweeper)
-	return ok
+	return !b.opts.DisableDegradedQuotes && ctx.Err() == nil && errors.Is(err, ErrShardUnavailable)
 }
 
 // degradedQuoteLocked prices qs as one bundle with part of the cluster
@@ -50,38 +42,10 @@ func (b *Broker) canDegrade(ctx context.Context, err error) bool {
 // "a|" entry (refined or sampled) short-circuits the sweep — a cached
 // sound answer beats re-walking a broken cluster. Callers hold mu.RLock.
 func (b *Broker) degradedQuoteLocked(ctx context.Context, fn PricingFunc, qs []*exec.Query, maxErr float64) (QuoteInfo, error) {
-	ds, ok := b.sweeper.(DegradedSweeper)
-	if !ok {
-		return QuoteInfo{}, ErrShardUnavailable
-	}
 	key := b.approxKey(fn, qs)
-	compute := func() (any, error) {
-		spec := SweepSpec{Bundle: true, SupportGen: b.supportGen}
-		switch fn {
-		case WeightedCoverage, UniformEntropyGain:
-			dis, stats, live, err := ds.SweepBitsDegraded(ctx, sqlsOf(qs), spec)
-			if err != nil {
-				return nil, err
-			}
-			est, err := b.engine.EstimateFromSampledDisagreements(fn, dis[0], live)
-			if err != nil {
-				return nil, err
-			}
-			return approxEntry{est: est, stats: stats[0], degraded: true, missing: missingFrac(live)}, nil
-		case ShannonEntropy, QEntropy:
-			elems, stats, live, err := ds.SweepHashesDegraded(ctx, sqlsOf(qs), spec)
-			if err != nil {
-				return nil, err
-			}
-			est, err := b.engine.EstimateFromSampledHashes(fn, elems[0], live)
-			if err != nil {
-				return nil, err
-			}
-			return approxEntry{est: est, stats: stats[0], degraded: true, missing: missingFrac(live)}, nil
-		}
-		return nil, fmt.Errorf("unknown pricing function %v", fn)
-	}
-	v, cached, err := b.cached(ctx, key, compute)
+	v, cached, err := b.cached(ctx, key, func() (any, error) {
+		return b.approxSweep(ctx, fn, qs, SweepSpec{Degraded: true})
+	})
 	if err != nil {
 		return QuoteInfo{}, err
 	}

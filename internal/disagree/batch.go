@@ -2,8 +2,10 @@ package disagree
 
 import (
 	"context"
+	"fmt"
 	"sort"
 
+	"qirana/internal/obs"
 	"qirana/internal/pool"
 	"qirana/internal/sqlengine/ast"
 	"qirana/internal/sqlengine/exec"
@@ -45,54 +47,104 @@ type deltaCheck struct {
 	compare bool
 }
 
-// CheckBatch decides all updates, batching the database checks per
-// relation (paper §4.2): for every single-occurrence relation at most one
-// tagged query answers the NeedPlus checks and two tagged queries answer
-// the NeedCompare checks, independent of how many updates are in the
-// batch; multi-occurrence (self-join) relations resolve per update
-// through the delta expansion. The live mask (nil = all live) lets
-// history-aware pricing skip elements that already contributed.
-//
-// With Workers > 1 the batch runs concurrently over the shared read-only
-// database: the static classification shards across workers, the
-// per-relation tagged queries run in parallel (oversized batches split
-// into chunks), the per-update delta checks fan out, and the residual
-// full checks run over per-worker overlays. Every (element, query)
-// decision is independent and lands in its own res slot, and Stats are
-// aggregated by counting, so results and Stats are bit-identical to the
-// serial (Workers ≤ 1) run.
+// CheckBatch decides all updates for one checker; it is Sweep with k=1
+// and no context.
 func (c *Checker) CheckBatch(us []*support.Update, live []bool) ([]bool, error) {
-	return c.CheckBatchCtx(context.Background(), us, live)
+	res, err := Sweep(context.Background(), []*Checker{c}, us, live)
+	if err != nil {
+		return nil, err
+	}
+	return res[0], nil
 }
 
-// CheckBatchCtx is CheckBatch under a context: the worker pools of every
-// stage poll ctx between items, so cancellation or an expired deadline
-// aborts the sweep mid-batch with ctx.Err() instead of finishing it.
-func (c *Checker) CheckBatchCtx(ctx context.Context, us []*support.Update, live []bool) ([]bool, error) {
-	res := make([]bool, len(us))
-	workers := pool.Clamp(c.Workers, len(us))
+// Sweep decides all updates for k ≥ 1 checkers — k priced queries over
+// the same database and support set — in one staged pass, batching the
+// database checks per relation (paper §4.2): for every single-occurrence
+// relation at most one tagged query answers the NeedPlus checks and two
+// tagged queries answer the NeedCompare checks, independent of how many
+// updates are in the batch; multi-occurrence (self-join) relations
+// resolve per update through the delta expansion. The live mask (nil =
+// all live) skips elements: history-aware pricing masks elements that
+// already contributed, sampled and sharded sweeps mask everything
+// outside their sample or slice.
+//
+// The stages are shared across checkers: one classification pass builds
+// each update's u⁺/u⁻ tuples once (only for updates whose relation some
+// checker reads) and classifies it against every checker, the tagged
+// batches and per-update delta checks of all checkers run in one worker
+// pool, and the residual full runs share per-worker overlays. With
+// Workers > 1 every stage runs concurrently over the shared read-only
+// database. Every (update, checker) decision runs the same code against
+// the same inputs and lands in its own result slot, and Stats accumulate
+// by counting, so results and per-checker Stats are bit-identical to k
+// serial single-checker sweeps. Every stage polls ctx between items, so
+// cancellation aborts the sweep mid-batch with ctx.Err().
+func Sweep(ctx context.Context, cs []*Checker, us []*support.Update, live []bool) ([][]bool, error) {
+	if len(cs) == 0 {
+		return nil, nil
+	}
+	db := cs[0].db
+	workers := 1
+	for _, c := range cs {
+		if c.db != db {
+			return nil, fmt.Errorf("disagree.Sweep: checkers span different databases")
+		}
+		workers = max(workers, c.Workers)
+	}
+	workers = pool.Clamp(workers, len(us))
 
 	// Account the executor's index-cache movement for this batch. Both
 	// snapshots happen at quiesced points (pool.Run waits for its workers),
 	// so the before/after delta is exact.
-	before := c.cacheSnapshot()
-	defer c.accountCache(before)
+	befores := make([]exec.CacheStats, len(cs))
+	for k, c := range cs {
+		befores[k] = c.cacheSnapshot()
+	}
+	defer func() {
+		for k, c := range cs {
+			c.accountCache(befores[k])
+		}
+	}()
 
-	// Static classification (Algorithms 4/5/6, no database access).
-	stopClassify := c.Obs.Timer("stage_classify")
-	outcomes := make([]Outcome, len(us))
+	// The checkers of one engine all carry the engine's registry, so the
+	// first non-nil one times the shared stages.
+	var reg *obs.Registry
+	for _, c := range cs {
+		if c.Obs != nil {
+			reg = c.Obs
+			break
+		}
+	}
+
+	// Static classification (Algorithms 4/5/6, no database access), with
+	// the u⁺/u⁻ tuples materialized once per update any checker reads.
+	stopClassify := reg.Timer("stage_classify")
+	plus := make([][][]value.Value, len(us))
+	minus := make([][][]value.Value, len(us))
+	outcomes := make([][]Outcome, len(cs))
+	for k := range cs {
+		outcomes[k] = make([]Outcome, len(us))
+	}
 	nBlocks := (len(us) + classifyBlock - 1) / classifyBlock
 	if err := pool.RunCtx(ctx, workers, nBlocks, func(b int) error {
-		lo, hi := b*classifyBlock, (b+1)*classifyBlock
-		if hi > len(us) {
-			hi = len(us)
-		}
-		for i := lo; i < hi; i++ {
+		for i := b * classifyBlock; i < min((b+1)*classifyBlock, len(us)); i++ {
 			if live != nil && !live[i] {
-				outcomes[i] = skipped
+				for k := range cs {
+					outcomes[k][i] = skipped
+				}
 				continue
 			}
-			outcomes[i] = c.Classify(us[i])
+			rel := ast.LowerName(us[i].Rel)
+			for _, c := range cs {
+				if _, ok := c.srcsOf[rel]; ok {
+					plus[i] = us[i].PlusRows(db)
+					minus[i] = us[i].MinusRows(db)
+					break
+				}
+			}
+			for k, c := range cs {
+				outcomes[k][i] = c.classifyWith(us[i], plus[i])
+			}
 		}
 		return nil
 	}); err != nil {
@@ -100,120 +152,148 @@ func (c *Checker) CheckBatchCtx(ctx context.Context, us []*support.Update, live 
 	}
 	stopClassify()
 
-	plusPending := make(map[string][]int)
-	comparePending := make(map[string][]int)
-	var deltaPending []deltaCheck
-	var fullPending []int
-	for i := range us {
-		switch outcomes[i] {
-		case skipped:
-		case Agree:
-			c.Stats.Static++
-		case Disagree:
-			c.Stats.Static++
-			res[i] = true
-		case NeedPlus:
-			if rel := ast.LowerName(us[i].Rel); c.multi[rel] {
-				deltaPending = append(deltaPending, deltaCheck{i: i, compare: false})
-			} else {
-				plusPending[rel] = append(plusPending[rel], i)
+	// Per checker: fold the static decisions, then collect every tagged
+	// job and every per-update delta check into shared pools.
+	type job struct {
+		k int
+		j batchJob
+	}
+	type delta struct {
+		k  int
+		dc deltaCheck
+	}
+	results := make([][]bool, len(cs))
+	fullPending := make([][]int, len(cs))
+	var jobs []job
+	var deltas []delta
+	for k, c := range cs {
+		results[k] = make([]bool, len(us))
+		plusPending := make(map[string][]int)
+		comparePending := make(map[string][]int)
+		for i := range us {
+			o := outcomes[k][i]
+			switch o {
+			case skipped:
+			case Agree:
+				c.Stats.Static++
+			case Disagree:
+				c.Stats.Static++
+				results[k][i] = true
+			case NeedPlus, NeedCompare:
+				compare := o == NeedCompare
+				rel := ast.LowerName(us[i].Rel)
+				switch {
+				case c.multi[rel]:
+					deltas = append(deltas, delta{k: k, dc: deltaCheck{i: i, compare: compare}})
+				case compare:
+					comparePending[rel] = append(comparePending[rel], i)
+				default:
+					plusPending[rel] = append(plusPending[rel], i)
+				}
+			case NeedFull:
+				fullPending[k] = append(fullPending[k], i)
 			}
-		case NeedCompare:
-			if rel := ast.LowerName(us[i].Rel); c.multi[rel] {
-				deltaPending = append(deltaPending, deltaCheck{i: i, compare: true})
-			} else {
-				comparePending[rel] = append(comparePending[rel], i)
-			}
-		case NeedFull:
-			fullPending = append(fullPending, i)
+		}
+		for _, j := range makeJobs(plusPending, comparePending, workers) {
+			c.Stats.Batched += len(j.idxs)
+			jobs = append(jobs, job{k: k, j: j})
 		}
 	}
 
 	// Batch 1 per relation: Q((D \ R) ∪ {u⁺}) emptiness checks.
 	// Batches 2+3 per relation: compare the {u⁻} and {u⁺} runs.
-	jobs := makeJobs(plusPending, comparePending, workers)
-	batched := 0
-	for _, j := range jobs {
-		batched += len(j.idxs)
-	}
-	plusOf := func(i int) [][]value.Value { return us[i].PlusRows(c.db) }
-	minusOf := func(i int) [][]value.Value { return us[i].MinusRows(c.db) }
+	plusOf := func(i int) [][]value.Value { return plus[i] }
+	minusOf := func(i int) [][]value.Value { return minus[i] }
 	extraFull := make([][]int, len(jobs))
 	tallies := make([][2]int, len(jobs)) // per job: decided at (full, partial) tier
-	stopTagged := c.Obs.Timer("stage_tagged_batch")
-	if err := pool.RunCtx(ctx, workers, len(jobs), func(k int) error {
-		ef, nFull, nPartial, err := c.runBatchJob(us, jobs[k], res, plusOf, minusOf)
-		extraFull[k] = ef
-		tallies[k] = [2]int{nFull, nPartial}
+	stopTagged := reg.Timer("stage_tagged_batch")
+	if err := pool.RunCtx(ctx, workers, len(jobs), func(x int) error {
+		jb := jobs[x]
+		ef, nFull, nPartial, err := cs[jb.k].runBatchJob(us, jb.j, results[jb.k], plusOf, minusOf)
+		extraFull[x] = ef
+		tallies[x] = [2]int{nFull, nPartial}
 		return err
 	}); err != nil {
 		return nil, err
 	}
 	stopTagged()
-	c.Stats.Batched += batched
-	for k, ef := range extraFull {
-		fullPending = append(fullPending, ef...)
-		c.Stats.DeltaFullRuns += tallies[k][0]
-		c.Stats.DeltaPartialRuns += tallies[k][1]
+	for x, ef := range extraFull {
+		c := cs[jobs[x].k]
+		fullPending[jobs[x].k] = append(fullPending[jobs[x].k], ef...)
+		c.Stats.DeltaFullRuns += tallies[x][0]
+		c.Stats.DeltaPartialRuns += tallies[x][1]
 	}
 
 	// Per-update delta checks of multi-occurrence relations (self-joins):
 	// each runs the higher-order expansion against the cached indexes and
 	// views, escalating to the residual stage when inexact.
-	if len(deltaPending) > 0 {
+	if len(deltas) > 0 {
 		type deltaRes struct{ dis, esc, partial bool }
-		dres := make([]deltaRes, len(deltaPending))
-		stopDelta := c.Obs.Timer("stage_delta")
-		if err := pool.RunCtx(ctx, workers, len(deltaPending), func(x int) error {
-			dc := deltaPending[x]
-			dis, esc, partial, err := c.decide(us[dc.i], dc.compare)
+		dres := make([]deltaRes, len(deltas))
+		stopDelta := reg.Timer("stage_delta")
+		if err := pool.RunCtx(ctx, workers, len(deltas), func(x int) error {
+			d := deltas[x]
+			dis, esc, partial, err := cs[d.k].decide(us[d.dc.i], d.dc.compare)
 			dres[x] = deltaRes{dis: dis, esc: esc, partial: partial}
 			return err
 		}); err != nil {
 			return nil, err
 		}
 		stopDelta()
-		for x, dc := range deltaPending {
+		for x, d := range deltas {
+			c := cs[d.k]
 			switch {
 			case dres[x].esc:
-				fullPending = append(fullPending, dc.i)
+				fullPending[d.k] = append(fullPending[d.k], d.dc.i)
 			case dres[x].partial:
-				res[dc.i] = dres[x].dis
+				results[d.k][d.dc.i] = dres[x].dis
 				c.Stats.DeltaPartialRuns++
 			default:
-				res[dc.i] = dres[x].dis
+				results[d.k][d.dc.i] = dres[x].dis
 				c.Stats.DeltaFullRuns++
 			}
 		}
 	}
 
 	// Residual full runs (rare: float borderlines and view overshoot),
-	// fanned out over per-worker overlays of the shared instance.
-	if len(fullPending) > 0 {
-		defer c.Obs.Timer("stage_residual")()
+	// fanned out over per-worker overlays of the shared instance; all
+	// checkers share the database, so a worker's overlay serves any of
+	// them under the apply/run/undo discipline.
+	type fullCheck struct{ k, i int }
+	var fulls []fullCheck
+	for k, c := range cs {
+		if len(fullPending[k]) == 0 {
+			continue
+		}
 		if err := c.ensureBaseHash(); err != nil {
 			return nil, err
 		}
-		fw := pool.Clamp(workers, len(fullPending))
+		c.Stats.FullRuns += len(fullPending[k])
+		for _, i := range fullPending[k] {
+			fulls = append(fulls, fullCheck{k: k, i: i})
+		}
+	}
+	if len(fulls) > 0 {
+		defer reg.Timer("stage_residual")()
+		fw := pool.Clamp(workers, len(fulls))
 		overlays := make([]*storage.Overlay, fw)
-		if err := pool.RunWorkersCtx(ctx, fw, len(fullPending), func(w, k int) error {
+		if err := pool.RunWorkersCtx(ctx, fw, len(fulls), func(w, x int) error {
 			o := overlays[w]
 			if o == nil {
-				o = storage.NewOverlay(c.db)
+				o = storage.NewOverlay(db)
 				overlays[w] = o
 			}
-			d, err := c.fullRunOn(o, us[fullPending[k]])
+			d, err := cs[fulls[x].k].fullRunOn(o, us[fulls[x].i])
 			if err != nil {
 				return err
 			}
-			res[fullPending[k]] = d
+			results[fulls[x].k][fulls[x].i] = d
 			return nil
 		}); err != nil {
 			return nil, err
 		}
-		c.Stats.FullRuns += len(fullPending)
 	}
-	return res, nil
+	return results, nil
 }
 
 // makeJobs turns the pending maps into a deterministic job list, sharding
@@ -265,8 +345,8 @@ func shard(idxs []int, workers int) [][]int {
 // writing the decided bits into res (disjoint indexes per job) and
 // returning the updates escalated to a residual full run plus the counts
 // of checks decided at the full and partial delta tiers. plusOf/minusOf
-// supply the u⁺/u⁻ tuples per update index — built on demand by
-// CheckBatch, materialized once and shared by the multi-query sweep.
+// supply the u⁺/u⁻ tuples per update index, materialized once by Sweep
+// and shared across its checkers.
 func (c *Checker) runBatchJob(us []*support.Update, j batchJob, res []bool, plusOf, minusOf func(int) [][]value.Value) (fullPending []int, nFull, nPartial int, err error) {
 	q := c.checkQuery()
 	var gv *exec.GroupView
@@ -336,8 +416,8 @@ func (c *Checker) runBatchJob(us []*support.Update, j batchJob, res []bool, plus
 // affected tuple of update i extended with the trailing upid column i.
 // The source tuples come through rowsOf and are never mutated (they are
 // built with cap == len, so the append allocates a fresh backing array —
-// required when the multi-query sweep shares one materialization across
-// concurrent jobs).
+// required because Sweep shares one materialization across concurrent
+// jobs).
 func tagRows(rowsOf func(int) [][]value.Value, idxs []int) [][]value.Value {
 	var out [][]value.Value
 	for _, i := range idxs {

@@ -86,7 +86,7 @@ type CheckStats struct {
 	// IndexCacheHits/Misses aggregate the executor's index-cache counters
 	// (filtered sources, join build sides, probe partitions, materialized
 	// views) across the queries this checker drives, accumulated per
-	// Check/CheckBatch call. Hit counts depend on Workers (job sharding),
+	// Check/Sweep call. Hit counts depend on Workers (job sharding),
 	// so they are informational, not part of the bit-identical result
 	// contract.
 	IndexCacheHits, IndexCacheMisses int
@@ -117,7 +117,7 @@ type Checker struct {
 	baseHash    uint64
 	baseHashSet bool
 
-	// Workers > 1 parallelizes CheckBatch (classification, per-relation
+	// Workers > 1 parallelizes Sweep (classification, per-relation
 	// tagged batches, residual full runs) across that many goroutines over
 	// the shared read-only database. Results and Stats are bit-identical
 	// to the serial run. Set by the pricing engine from Options.Workers.
@@ -125,7 +125,7 @@ type Checker struct {
 
 	// Obs, when non-nil, receives per-stage latency observations
 	// (stage_classify, stage_tagged_batch, stage_delta, stage_residual)
-	// from every CheckBatch. Set by the pricing engine; nil costs a branch.
+	// from every Sweep. Set by the pricing engine; nil costs a branch.
 	Obs *obs.Registry
 
 	Stats CheckStats
@@ -249,9 +249,8 @@ func (c *Checker) Classify(u *support.Update) Outcome {
 }
 
 // classifyWith is Classify with the update's u⁺ tuples optionally
-// pre-materialized (nil = fetch lazily). The multi-query shared sweep
-// materializes them once and classifies the same update against every
-// checker in the batch.
+// pre-materialized (nil = fetch lazily). Sweep materializes them once
+// and classifies the same update against every checker in the batch.
 func (c *Checker) classifyWith(u *support.Update, plus [][]value.Value) Outcome {
 	srcs, ok := c.srcsOf[ast.LowerName(u.Rel)]
 	if !ok {

@@ -37,11 +37,8 @@ package pricing
 // closed-form variance.
 
 import (
-	"context"
 	"fmt"
 	"math"
-
-	"qirana/internal/sqlengine/exec"
 )
 
 // zCI is the normal quantile behind the reported ~95% confidence
@@ -251,24 +248,14 @@ func safeDenom(v float64) float64 {
 	return v
 }
 
-// ApproxPriceCtx runs a sampled sweep over the elements selected by
-// sample and returns the approximate price of the bundle qs under fn.
-// The sweep reuses the engine's live-mask machinery, so its cost scales
-// with the sample size, not |S|.
-func (e *Engine) ApproxPriceCtx(ctx context.Context, fn Func, sample []bool, qs ...*exec.Query) (Estimate, error) {
-	switch fn {
-	case WeightedCoverage, UniformEntropyGain:
-		dis, err := e.DisagreementsCtx(ctx, qs, sample)
-		if err != nil {
-			return Estimate{}, err
-		}
-		return e.EstimateFromSampledDisagreements(fn, dis, sample)
-	case ShannonEntropy, QEntropy:
-		hashes, _, err := e.OutputHashesLiveCtx(ctx, qs, sample)
-		if err != nil {
-			return Estimate{}, err
-		}
-		return e.EstimateFromSampledHashes(fn, hashes, sample)
+// EstimateFromSweep folds output x of a masked sweep into an approximate
+// price under fn, reading only the elements the sweep's live mask
+// selects: every element outside it — unsampled, or in a shard slice
+// that did not answer — is charged at its upper bound. A sampled sweep
+// costs in proportion to the sample, not |S|.
+func (e *Engine) EstimateFromSweep(fn Func, r SweepResult, x int) (Estimate, error) {
+	if r.Hashes != nil {
+		return e.EstimateFromSampledHashes(fn, r.Hashes[x], r.Live)
 	}
-	return Estimate{}, fmt.Errorf("unknown pricing function %v", fn)
+	return e.EstimateFromSampledDisagreements(fn, r.Bits[x], r.Live)
 }

@@ -10,6 +10,16 @@ import (
 	"qirana/internal/support"
 )
 
+// approxPrice sweeps the bundle qs over the sampled elements and folds
+// the result into an estimate, the way the broker's sampled path does.
+func approxPrice(ctx context.Context, e *Engine, fn Func, sample []bool, qs ...*exec.Query) (Estimate, error) {
+	r, err := e.Sweep(ctx, qs, SweepSpec{Bundle: true, Hashes: fn.UsesHashes(), Live: sample})
+	if err != nil {
+		return Estimate{}, err
+	}
+	return e.EstimateFromSweep(fn, r, 0)
+}
+
 // The arbitrage-safety core: for every pricing function, every sample
 // fraction, and randomized queries, the served approximate price is an
 // upper bound on the exact price. The root-level five-schema
@@ -30,13 +40,13 @@ func TestApproxEstimateUpperBoundsExact(t *testing.T) {
 	for _, sql := range sqls {
 		q := exec.MustCompile(sql, e.DB.Schema)
 		for _, fn := range AllFuncs {
-			exact, err := e.PriceCtx(ctx, fn, q)
+			exact, err := e.Price(fn, q)
 			if err != nil {
 				t.Fatalf("%v %q exact: %v", fn, sql, err)
 			}
 			for _, frac := range []float64{0.05, 0.1, 0.25, 0.5, 1.0} {
 				sample := support.SampleMask(e.Set.Size(), frac, 7, 1)
-				est, err := e.ApproxPriceCtx(ctx, fn, sample, q)
+				est, err := approxPrice(ctx, e, fn, sample, q)
 				if err != nil {
 					t.Fatalf("%v %q frac %v: %v", fn, sql, frac, err)
 				}
@@ -74,11 +84,11 @@ func TestApproxFullSampleMatchesExact(t *testing.T) {
 	q := exec.MustCompile("SELECT * FROM R WHERE a = 5", e.DB.Schema)
 	sample := support.SampleMask(e.Set.Size(), 1, 3, 1)
 	for _, fn := range AllFuncs {
-		exact, err := e.PriceCtx(ctx, fn, q)
+		exact, err := e.Price(fn, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		est, err := e.ApproxPriceCtx(ctx, fn, sample, q)
+		est, err := approxPrice(ctx, e, fn, sample, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,17 +106,17 @@ func TestApproxPointTightensWithFraction(t *testing.T) {
 	e := newEngine(t, db, 400, 100)
 	ctx := context.Background()
 	q := exec.MustCompile("SELECT * FROM R WHERE b < 300", e.DB.Schema)
-	exact, err := e.PriceCtx(ctx, WeightedCoverage, q)
+	exact, err := e.Price(WeightedCoverage, q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	small := support.SampleMask(e.Set.Size(), 0.05, 7, 1)
 	big := support.SampleMask(e.Set.Size(), 0.8, 7, 1)
-	estS, err := e.ApproxPriceCtx(ctx, WeightedCoverage, small, q)
+	estS, err := approxPrice(ctx, e, WeightedCoverage, small, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	estB, err := e.ApproxPriceCtx(ctx, WeightedCoverage, big, q)
+	estB, err := approxPrice(ctx, e, WeightedCoverage, big, q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,18 +29,13 @@ func (e *Engine) parallelWorkers() int {
 	return pool.Clamp(e.Opts.Workers, -1)
 }
 
-// parallelApply runs fn(overlay, elementIndex) for every live element.
+// parallelApplyCtx runs fn(overlay, elementIndex) for every live element.
 // Each worker owns one overlay over the shared database; fn must leave the
 // overlay as it found it (the usual apply/undo discipline, now against the
 // overlay). With one worker the elements run inline in index order, so the
-// serial path is bit-identical to the parallel one by construction.
-func (e *Engine) parallelApply(mask []bool, fn func(o *storage.Overlay, i int) error) error {
-	return e.parallelApplyCtx(context.Background(), mask, fn)
-}
-
-// parallelApplyCtx is parallelApply under a context: the pool polls ctx
-// between elements, so a cancelled sweep stops after the in-flight
-// elements finish their apply/run/undo cycle.
+// serial path is bit-identical to the parallel one by construction. The
+// pool polls ctx between elements, so a cancelled sweep stops after the
+// in-flight elements finish their apply/run/undo cycle.
 func (e *Engine) parallelApplyCtx(ctx context.Context, mask []bool, fn func(o *storage.Overlay, i int) error) error {
 	var live []int
 	for i := range e.Set.Elements {

@@ -20,7 +20,6 @@ import (
 	"qirana/internal/disagree"
 	"qirana/internal/obs"
 	"qirana/internal/pool"
-	"qirana/internal/result"
 	"qirana/internal/sqlengine/ast"
 	"qirana/internal/sqlengine/exec"
 	"qirana/internal/sqlengine/plan"
@@ -230,24 +229,121 @@ func (e *Engine) InvalidateCache() {
 	e.uncheckable = make(map[*exec.Query]bool)
 }
 
+// SweepSpec says what one sweep over the support set computes: the
+// shape of the output, its kind, and which elements it visits. Exact,
+// history-aware, sampled and sharded sweeps are all the same sweep with
+// a different live mask.
+type SweepSpec struct {
+	// Bundle sweeps qs as ONE bundle: one output, in which an element
+	// disagrees when some query of the bundle tells it apart from D.
+	// False sweeps each query independently: one output per query, still
+	// in one shared pass over the support set.
+	Bundle bool
+	// Hashes returns per-element output hashes (the partition the entropy
+	// pricing functions need) instead of disagreement bits.
+	Hashes bool
+	// Live restricts the sweep to the elements with Live[i] set (nil =
+	// all). Masked elements are never evaluated, their positions in the
+	// output vectors stay zero, and they count toward no Stats.
+	Live []bool
+}
+
+// SweepResult is one sweep's output, indexed by output (one for a
+// bundle, one per query otherwise). Every per-element decision is
+// independent of the mask, so the vectors and Stats of disjoint masks
+// covering the support set OR / overlay / add up exactly to the
+// unmasked sweep's — the invariant sampled and sharded pricing rely on.
+type SweepResult struct {
+	// Bits holds the full-length disagreement bitmaps (nil for Hashes).
+	Bits [][]bool
+	// Hashes holds the full-length per-element output hashes and Bases
+	// the hash of D's own output (both nil for bits).
+	Hashes [][]uint64
+	Bases  []uint64
+	// Stats is how each output's elements were decided.
+	Stats []Stats
+	// Live marks the elements the vectors cover — the mask the sweep ran
+	// under (nil = every element).
+	Live []bool
+}
+
+// Valid reports whether fn is one of the four pricing functions.
+func (fn Func) Valid() bool { return fn >= WeightedCoverage && fn <= QEntropy }
+
+// UsesHashes reports whether fn prices the partition of S by output hash
+// (the entropy functions) rather than the disagreement set.
+func (fn Func) UsesHashes() bool { return fn == ShannonEntropy || fn == QEntropy }
+
+// Add accumulates o into s; Stats of disjoint sweeps sum exactly.
+func (s *Stats) Add(o Stats) {
+	s.Static += o.Static
+	s.Batched += o.Batched
+	s.FullRuns += o.FullRuns
+	s.Naive += o.Naive
+	s.DeltaFull += o.DeltaFull
+	s.DeltaPartial += o.DeltaPartial
+}
+
+// Sweep is the engine's one pass over the support set (Algorithm 1 with
+// the §4.2 batched checks inside it). Every evaluation path — batched
+// checker, per-element checker walk, Appendix A reduction, naive and
+// entropy re-execution — polls ctx between elements and aborts with
+// ctx.Err(); a cancelled sweep leaves no partial state behind.
+// LastStats is left holding the sum of the returned Stats.
+func (e *Engine) Sweep(ctx context.Context, qs []*exec.Query, spec SweepSpec) (SweepResult, error) {
+	r := SweepResult{Live: spec.Live}
+	var err error
+	switch {
+	case spec.Hashes:
+		r.Hashes, r.Bases, r.Stats, err = e.sweepHashes(ctx, qs, spec)
+	case spec.Bundle:
+		var dis []bool
+		var st Stats
+		dis, st, err = e.sweepBundleBits(ctx, qs, spec.Live)
+		r.Bits, r.Stats = [][]bool{dis}, []Stats{st}
+	default:
+		r.Bits, r.Stats, err = e.sweepBits(ctx, qs, spec.Live)
+	}
+	if err != nil {
+		return SweepResult{}, err
+	}
+	e.LastStats = Stats{}
+	for _, st := range r.Stats {
+		e.LastStats.Add(st)
+	}
+	return r, nil
+}
+
 // Disagreements computes, for each live support element, whether it
 // disagrees with D on the bundle (i.e. some query of the bundle tells the
 // two databases apart). Elements with live[i]=false are skipped (history-
 // aware pricing); live may be nil.
 func (e *Engine) Disagreements(qs []*exec.Query, live []bool) ([]bool, error) {
-	return e.DisagreementsCtx(context.Background(), qs, live)
+	r, err := e.Sweep(context.Background(), qs, SweepSpec{Bundle: true, Live: live})
+	if err != nil {
+		return nil, err
+	}
+	return r.Bits[0], nil
 }
 
-// DisagreementsCtx is Disagreements under a context: every evaluation
-// path (batched checker, per-element checker walk, naive and reduced
-// re-execution) polls ctx between elements and aborts mid-sweep with
-// ctx.Err(). A cancelled call leaves no partial state behind — the next
-// call recomputes from scratch.
-func (e *Engine) DisagreementsCtx(ctx context.Context, qs []*exec.Query, live []bool) ([]bool, error) {
-	e.LastStats = Stats{}
+// OutputHashes runs the bundle on D and every support element, returning
+// the combined output hash per element plus the hash for D itself. The
+// entropy pricing functions partition S by these hashes.
+func (e *Engine) OutputHashes(qs []*exec.Query) (elems []uint64, base uint64, err error) {
+	r, err := e.Sweep(context.Background(), qs, SweepSpec{Bundle: true, Hashes: true})
+	if err != nil {
+		return nil, 0, err
+	}
+	return r.Hashes[0], r.Bases[0], nil
+}
+
+// sweepBundleBits prices the bundle query by query: each query sweeps
+// only the live elements no earlier query already told apart from D.
+func (e *Engine) sweepBundleBits(ctx context.Context, qs []*exec.Query, live []bool) ([]bool, Stats, error) {
 	out := make([]bool, e.Set.Size())
-	for _, q := range qs {
-		mask := make([]bool, e.Set.Size())
+	var st Stats
+	for j := range qs {
+		mask := make([]bool, len(out))
 		any := false
 		for i := range mask {
 			mask[i] = (live == nil || live[i]) && !out[i]
@@ -256,107 +352,149 @@ func (e *Engine) DisagreementsCtx(ctx context.Context, qs []*exec.Query, live []
 		if !any {
 			break
 		}
-		if c := e.checker(q); c != nil {
-			if err := e.fastDisagree(ctx, c, mask, out); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		if err := e.naiveDisagree(ctx, q, mask, out); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-func (e *Engine) fastDisagree(ctx context.Context, c *disagree.Checker, mask, out []bool) error {
-	c.Stats = disagree.CheckStats{}
-	c.Workers = e.parallelWorkers()
-	if e.Opts.Batching {
-		res, err := c.CheckBatchCtx(ctx, e.Set.Updates, mask)
+		res, stats, err := e.sweepBits(ctx, qs[j:j+1], mask)
 		if err != nil {
-			return err
+			return nil, Stats{}, err
 		}
-		for i, d := range res {
-			if d {
-				out[i] = true
-			}
+		for i, d := range res[0] {
+			out[i] = out[i] || d
 		}
-	} else {
-		for i, u := range e.Set.Updates {
-			if !mask[i] {
-				continue
-			}
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			d, err := c.Check(u)
-			if err != nil {
-				return err
-			}
-			if d {
-				out[i] = true
-			}
-		}
+		st.Add(stats[0])
 	}
-	e.LastStats.Static += c.Stats.Static
-	e.LastStats.Batched += c.Stats.Batched
-	e.LastStats.FullRuns += c.Stats.FullRuns
-	e.LastStats.DeltaFull += c.Stats.DeltaFullRuns
-	e.LastStats.DeltaPartial += c.Stats.DeltaPartialRuns
-	e.addTierObs(&c.Stats)
-	return nil
+	return out, st, nil
 }
 
-// addTierObs exports one sweep's per-tier residual-check counts to the
-// observability registry (nil-safe). The counters feed the broker's
-// /metrics endpoint.
-func (e *Engine) addTierObs(s *disagree.CheckStats) {
+// sweepBits computes the disagreement bitmap of every query in qs — k
+// INDEPENDENT queries — in one shared pass. Batched fast-path queries go
+// through one disagree.Sweep (one classification pass, one u⁺/u⁻
+// materialization, one merged job pool); unbatched checkers walk the
+// elements one check at a time (the "no batching" mode of Figure 5);
+// queries outside the fast path take the Appendix A reduction when
+// eligible, and the rest share one overlay pass that applies each element
+// once and runs all of them. Per query, the bitmap and Stats are
+// bit-identical to a one-query call.
+func (e *Engine) sweepBits(ctx context.Context, qs []*exec.Query, live []bool) ([][]bool, []Stats, error) {
+	out := make([][]bool, len(qs))
+	stats := make([]Stats, len(qs))
+	var batched []*disagree.Checker
+	var batchedIdx, naiveIdx []int
+	for j, q := range qs {
+		out[j] = make([]bool, e.Set.Size())
+		c := e.checker(q)
+		switch {
+		case c != nil && e.Opts.Batching:
+			c.Stats = disagree.CheckStats{}
+			c.Workers = e.parallelWorkers()
+			batched = append(batched, c)
+			batchedIdx = append(batchedIdx, j)
+		case c != nil:
+			c.Stats = disagree.CheckStats{}
+			for i, u := range e.Set.Updates {
+				if live != nil && !live[i] {
+					continue
+				}
+				if err := ctx.Err(); err != nil {
+					return nil, nil, err
+				}
+				d, err := c.Check(u)
+				if err != nil {
+					return nil, nil, err
+				}
+				out[j][i] = d
+			}
+			stats[j] = e.checkerStats(c)
+		default:
+			if e.Opts.InstanceReduction && e.Set.Updates != nil {
+				ok, n, err := e.reducedDisagree(ctx, q, live, out[j])
+				if err != nil {
+					return nil, nil, err
+				}
+				if ok {
+					stats[j] = Stats{Naive: n}
+					continue
+				}
+			}
+			naiveIdx = append(naiveIdx, j)
+		}
+	}
+	if len(batched) > 0 {
+		res, err := disagree.Sweep(ctx, batched, e.Set.Updates, live)
+		if err != nil {
+			return nil, nil, err
+		}
+		for k, j := range batchedIdx {
+			out[j] = res[k]
+			stats[j] = e.checkerStats(batched[k])
+		}
+	}
+	if len(naiveIdx) > 0 {
+		if err := e.naiveDisagree(ctx, qs, naiveIdx, live, out); err != nil {
+			return nil, nil, err
+		}
+		n := countLive(live, e.Set.Size())
+		for _, j := range naiveIdx {
+			stats[j] = Stats{Naive: n}
+		}
+	}
+	return out, stats, nil
+}
+
+// checkerStats converts one checker sweep's counters into engine Stats
+// and exports its per-tier residual-check counts to the observability
+// registry (nil-safe); the counters feed the broker's /metrics endpoint.
+func (e *Engine) checkerStats(c *disagree.Checker) Stats {
+	s := &c.Stats
 	e.Obs.Add("checker_delta_full", uint64(s.DeltaFullRuns))
 	e.Obs.Add("checker_delta_partial", uint64(s.DeltaPartialRuns))
 	e.Obs.Add("checker_delta_fallback", uint64(s.FullRuns))
+	return Stats{Static: s.Static, Batched: s.Batched, FullRuns: s.FullRuns,
+		DeltaFull: s.DeltaFullRuns, DeltaPartial: s.DeltaPartialRuns}
 }
 
-// naiveDisagree is Algorithm 1's loop: run Q on every (live) neighboring
-// instance and compare output hashes, with the Appendix A instance
-// reduction when eligible and enabled. Elements are evaluated through
+// countLive is the number of elements a mask selects (nil = all n).
+func countLive(live []bool, n int) int {
+	if live == nil {
+		return n
+	}
+	c := 0
+	for _, ok := range live {
+		if ok {
+			c++
+		}
+	}
+	return c
+}
+
+// naiveDisagree is Algorithm 1's loop for the queries qs[idx]: run each
+// on every live neighboring instance and compare output hashes against
+// its own baseline, writing out[j]. Elements are evaluated through
 // copy-on-write overlays over the shared (never mutated) database, one
-// overlay per worker; with one worker they run inline in index order.
-func (e *Engine) naiveDisagree(ctx context.Context, q *exec.Query, mask, out []bool) error {
-	if e.Opts.InstanceReduction && e.Set.Updates != nil {
-		if ok, err := e.reducedDisagree(ctx, q, mask, out); ok {
+// overlay per worker, each element applied once for all the queries;
+// with one worker they run inline in index order.
+func (e *Engine) naiveDisagree(ctx context.Context, qs []*exec.Query, idx []int, live []bool, out [][]bool) error {
+	bases := make([]uint64, len(idx))
+	for x, j := range idx {
+		base, err := qs[j].Run(e.DB)
+		if err != nil {
 			return err
 		}
+		bases[x] = base.Hash()
 	}
-	base, err := q.Run(e.DB)
-	if err != nil {
-		return err
-	}
-	bh := base.Hash()
-	n := 0
-	for i := range mask {
-		if mask[i] {
-			n++
-		}
-	}
-	err = e.parallelApplyCtx(ctx, mask, func(o *storage.Overlay, i int) error {
+	return e.parallelApplyCtx(ctx, live, func(o *storage.Overlay, i int) error {
 		el := e.Set.Elements[i]
 		el.ApplyOverlay(o)
-		res, rerr := q.RunOverride(e.DB, o.Overrides())
-		el.UndoOverlay(o)
-		if rerr != nil {
-			return rerr
-		}
-		if res.Hash() != bh {
-			out[i] = true // distinct index per element: no contention
+		defer el.UndoOverlay(o)
+		for x, j := range idx {
+			res, err := qs[j].RunOverride(e.DB, o.Overrides())
+			if err != nil {
+				return err
+			}
+			if res.Hash() != bases[x] {
+				out[j][i] = true // distinct index per element: no contention
+			}
 		}
 		return nil
 	})
-	if err != nil {
-		return err
-	}
-	e.LastStats.Naive += n
-	return nil
 }
 
 // reducedRel is one relation's Appendix A reduction: the touched base rows
@@ -371,18 +509,19 @@ type reducedRel struct {
 // reducedDisagree implements the instance-reduction optimization of
 // Appendix A (Lemma A.3): for SPJ queries, an update on relation R changes
 // Q(D) iff it changes Q(D with R reduced to the rows the support set
-// touches). It returns ok=false when the query is ineligible.
+// touches). It returns ok=false when the query is ineligible, else the
+// number of elements it evaluated.
 //
 // Each element's check substitutes its updated tuples into a private copy
 // of the (tiny) reduced relation, so the base database stays read-only and
 // the per-element checks parallelize across workers.
-func (e *Engine) reducedDisagree(ctx context.Context, q *exec.Query, mask, out []bool) (bool, error) {
+func (e *Engine) reducedDisagree(ctx context.Context, q *exec.Query, live, out []bool) (bool, int, error) {
 	s, err := plan.Extract(q.A)
 	if err != nil || s.IsAgg || s.Distinct {
 		// The reduction lemma is a multiset-locality argument: DISTINCT
 		// breaks it because an untouched duplicate outside the reduced
 		// instance can absorb a removal that looks visible inside it.
-		return false, nil
+		return false, 0, nil
 	}
 	inQuery := make(map[string]bool)
 	for _, rel := range s.RelOfSource {
@@ -390,7 +529,7 @@ func (e *Engine) reducedDisagree(ctx context.Context, q *exec.Query, mask, out [
 		if inQuery[rel] {
 			// Self-join: reducing the relation shrinks BOTH occurrences, so
 			// an update loses its untouched join partners — ineligible.
-			return false, nil
+			return false, 0, nil
 		}
 		inQuery[rel] = true
 	}
@@ -398,7 +537,7 @@ func (e *Engine) reducedDisagree(ctx context.Context, q *exec.Query, mask, out [
 	touched := make(map[string]map[int]bool)
 	var idxs []int
 	for i, u := range e.Set.Updates {
-		if !mask[i] {
+		if live != nil && !live[i] {
 			continue
 		}
 		rel := ast.LowerName(u.Rel)
@@ -428,13 +567,13 @@ func (e *Engine) reducedDisagree(ctx context.Context, q *exec.Query, mask, out [
 		}
 		res, err := q.RunOverride(e.DB, exec.Overrides{rel: rr.rows})
 		if err != nil {
-			return true, err
+			return true, 0, err
 		}
 		rr.baseline = res.Hash()
 		reduced[rel] = rr
 	}
 	if len(idxs) == 0 {
-		return true, nil
+		return true, 0, nil
 	}
 	workers := pool.Clamp(e.parallelWorkers(), len(idxs))
 	scratch := make([]map[string][][]value.Value, workers)
@@ -474,74 +613,66 @@ func (e *Engine) reducedDisagree(ctx context.Context, q *exec.Query, mask, out [
 		return nil
 	})
 	if err != nil {
-		return true, err
+		return true, 0, err
 	}
-	e.LastStats.Naive += len(idxs)
-	return true, nil
+	return true, len(idxs), nil
 }
 
-// OutputHashes runs the bundle on D and every support element, returning
-// the combined output hash per element plus the hash for D itself. The
-// entropy pricing functions partition S by these hashes.
-func (e *Engine) OutputHashes(qs []*exec.Query) (elems []uint64, base uint64, err error) {
-	return e.OutputHashesCtx(context.Background(), qs)
-}
-
-// OutputHashesCtx is OutputHashes under a context: the per-element sweep
-// polls ctx and aborts mid-sweep with ctx.Err().
-func (e *Engine) OutputHashesCtx(ctx context.Context, qs []*exec.Query) (elems []uint64, base uint64, err error) {
-	return e.OutputHashesLiveCtx(ctx, qs, nil)
-}
-
-// OutputHashesLiveCtx is OutputHashesCtx restricted to the live elements
-// (nil live = all). Skipped elements keep a zero hash, and only the live
-// ones count toward LastStats.Naive, so the stats of disjoint covering
-// masks sum exactly to one full sweep's — the invariant the sharded
-// cluster's fold relies on. Each live element's hash is computed by the
-// identical code against the identical inputs, so elems[i] is
-// bit-identical to the full sweep's for every live i.
-func (e *Engine) OutputHashesLiveCtx(ctx context.Context, qs []*exec.Query, live []bool) (elems []uint64, base uint64, err error) {
+// sweepHashes runs every query on D and on each live element, returning
+// per output the combined output hash of its queries per element plus the
+// hash for D itself: one output over all of qs for a bundle, one per query
+// otherwise (encoded exactly as a one-query bundle, so prices derived from
+// either are bit-identical). Each element is applied once for all the
+// queries. Stats count one naive run per (live element, query).
+func (e *Engine) sweepHashes(ctx context.Context, qs []*exec.Query, spec SweepSpec) ([][]uint64, []uint64, []Stats, error) {
 	defer e.Obs.Timer("stage_entropy")()
-	baseHashes := make([]uint64, len(qs))
+	// Output x combines the hashes of the queries qs[lo:hi] = span(x).
+	nOut := len(qs)
+	span := func(x int) (lo, hi int) { return x, x + 1 }
+	if spec.Bundle {
+		nOut = 1
+		span = func(int) (lo, hi int) { return 0, len(qs) }
+	}
+	raw := make([]uint64, len(qs))
 	for j, q := range qs {
-		var res *result.Result
-		res, err = q.Run(e.DB)
+		res, err := q.Run(e.DB)
 		if err != nil {
-			return nil, 0, err
+			return nil, nil, nil, err
 		}
-		baseHashes[j] = res.Hash()
+		raw[j] = res.Hash()
 	}
-	base = combine(baseHashes)
-	elems = make([]uint64, e.Set.Size())
-	n := e.Set.Size()
-	if live != nil {
-		n = 0
-		for _, ok := range live {
-			if ok {
-				n++
-			}
-		}
+	n := countLive(spec.Live, e.Set.Size())
+	elems := make([][]uint64, nOut)
+	bases := make([]uint64, nOut)
+	stats := make([]Stats, nOut)
+	for x := range elems {
+		lo, hi := span(x)
+		elems[x] = make([]uint64, e.Set.Size())
+		bases[x] = combine(raw[lo:hi])
+		stats[x] = Stats{Naive: n * (hi - lo)}
 	}
-	err = e.parallelApplyCtx(ctx, live, func(o *storage.Overlay, i int) error {
+	err := e.parallelApplyCtx(ctx, spec.Live, func(o *storage.Overlay, i int) error {
 		el := e.Set.Elements[i]
 		el.ApplyOverlay(o)
 		defer el.UndoOverlay(o)
 		hs := make([]uint64, len(qs))
 		for j, q := range qs {
-			res, rerr := q.RunOverride(e.DB, o.Overrides())
-			if rerr != nil {
-				return rerr
+			res, err := q.RunOverride(e.DB, o.Overrides())
+			if err != nil {
+				return err
 			}
 			hs[j] = res.Hash()
 		}
-		elems[i] = combine(hs)
+		for x := range elems {
+			lo, hi := span(x)
+			elems[x][i] = combine(hs[lo:hi])
+		}
 		return nil
 	})
 	if err != nil {
-		return nil, 0, err
+		return nil, nil, nil, err
 	}
-	e.LastStats.Naive += n * len(qs)
-	return elems, base, nil
+	return elems, bases, stats, nil
 }
 
 func combine(hs []uint64) uint64 {
@@ -559,31 +690,20 @@ func combine(hs []uint64) uint64 {
 // Price computes the bundle price under the chosen pricing function,
 // scaled so that the bundle retrieving the full database costs Total.
 func (e *Engine) Price(fn Func, qs ...*exec.Query) (float64, error) {
-	return e.PriceCtx(context.Background(), fn, qs...)
-}
-
-// PriceCtx is Price under a context; see DisagreementsCtx for the
-// cancellation contract.
-func (e *Engine) PriceCtx(ctx context.Context, fn Func, qs ...*exec.Query) (float64, error) {
 	if len(qs) == 0 {
 		return 0, fmt.Errorf("empty query bundle")
 	}
-	switch fn {
-	case WeightedCoverage, UniformEntropyGain:
-		dis, err := e.DisagreementsCtx(ctx, qs, nil)
-		if err != nil {
-			return 0, err
-		}
-		return e.PriceFromDisagreements(fn, dis)
-
-	case ShannonEntropy, QEntropy:
-		hashes, _, err := e.OutputHashesCtx(ctx, qs)
-		if err != nil {
-			return 0, err
-		}
-		return e.entropyPrice(fn, hashes), nil
+	if !fn.Valid() {
+		return 0, fmt.Errorf("unknown pricing function %v", fn)
 	}
-	return 0, fmt.Errorf("unknown pricing function %v", fn)
+	r, err := e.Sweep(context.Background(), qs, SweepSpec{Bundle: true, Hashes: fn.UsesHashes()})
+	if err != nil {
+		return 0, err
+	}
+	if r.Hashes != nil {
+		return e.EntropyPriceFromHashes(fn, r.Hashes[0])
+	}
+	return e.PriceFromDisagreements(fn, r.Bits[0])
 }
 
 // PriceFromDisagreements turns a disagreement bitmap into a price under a

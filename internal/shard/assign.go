@@ -1,6 +1,6 @@
 // Package shard implements sharded support-set pricing: the slice
 // assignment that partitions the support set across workers, the HTTP
-// fan-out client the router installs as its RemoteSweeper, the worker-
+// fan-out client the router installs as its Sweeper, the worker-
 // side handler serving sweep slices, and an in-process cluster harness
 // for tests, benchmarks and `make cluster`.
 //

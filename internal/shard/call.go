@@ -27,7 +27,7 @@ import (
 // Shard sweeps are read-only, so retries and hedges are idempotent by
 // construction, and the shard-side slice cache single-flights
 // duplicates of the same request.
-func (f *Fanout) call(ctx, parent context.Context, i int, sqls []string, spec qirana.SweepSpec, hashes bool) (*qirana.SweepSliceResponse, error) {
+func (f *Fanout) call(ctx, parent context.Context, i int, sqls []string, spec qirana.SweepSpec) (*qirana.SweepSliceResponse, error) {
 	br := f.breakers[i]
 	var lastErr error
 	for attempt := 0; attempt < f.policy.MaxAttempts; attempt++ {
@@ -74,7 +74,7 @@ func (f *Fanout) call(ctx, parent context.Context, i int, sqls []string, spec qi
 			}
 		}
 		start := time.Now()
-		resp, err := f.hedgedPost(ctx, parent, i, sqls, spec, hashes)
+		resp, err := f.hedgedPost(ctx, parent, i, sqls, spec)
 		if err == nil {
 			if br.success() {
 				f.obs.Add("breaker_close", 1)
@@ -136,10 +136,10 @@ func (f *Fanout) probeShard(ctx context.Context, i int) error {
 // wins; the loser is cancelled. Duplicates are cheap: the shard's slice
 // cache single-flights concurrent identical requests, so a losing hedge
 // costs a coalesced cache lookup, not a second sweep.
-func (f *Fanout) hedgedPost(ctx, parent context.Context, i int, sqls []string, spec qirana.SweepSpec, hashes bool) (*qirana.SweepSliceResponse, error) {
+func (f *Fanout) hedgedPost(ctx, parent context.Context, i int, sqls []string, spec qirana.SweepSpec) (*qirana.SweepSliceResponse, error) {
 	delay := f.hedgeDelay()
 	if delay <= 0 {
-		return f.post(ctx, parent, i, sqls, spec, hashes)
+		return f.post(ctx, parent, i, sqls, spec)
 	}
 	hctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -150,7 +150,7 @@ func (f *Fanout) hedgedPost(ctx, parent context.Context, i int, sqls []string, s
 	}
 	ch := make(chan result, 2)
 	send := func(dup bool) {
-		resp, err := f.post(hctx, parent, i, sqls, spec, hashes)
+		resp, err := f.post(hctx, parent, i, sqls, spec)
 		ch <- result{resp, err, dup}
 	}
 	go send(false)

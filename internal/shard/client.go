@@ -9,12 +9,14 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"slices"
 	"sync"
 	"time"
 
 	"qirana"
 	"qirana/internal/durable"
 	"qirana/internal/obs"
+	"qirana/internal/support"
 )
 
 // Info is a shard's identity, served on GET /shard/info and verified at
@@ -26,18 +28,18 @@ type Info struct {
 	Size       int    `json:"size"`
 }
 
-// Fanout is the router's RemoteSweeper: it splits every cold sweep
+// Fanout is the router's qirana.Sweeper: it splits every cold sweep
 // across the connected shards (one contiguous slice each, per Assign),
 // runs the slice requests concurrently, and reassembles the per-element
 // vectors in shard order. Each slice request runs under the installed
 // FaultPolicy — jittered-backoff retries, hedging, and a per-shard
-// circuit breaker (breaker.go) — but the exact sweep itself stays
+// circuit breaker (breaker.go) — but an exact sweep itself stays
 // all-or-nothing: one slice exhausting its budget aborts the whole
 // fan-out as qirana.ErrShardUnavailable (503 + Retry-After), so a
 // partially merged exact price is never returned. Partial results are
-// only ever surfaced through the explicitly-degraded sweeps in
-// degraded.go, which report missing slices via a live mask for the
-// broker to price as unsampled weight.
+// only ever surfaced by an explicitly Degraded sweep, which reports the
+// missing slices through its live mask for the broker to price as
+// unsampled weight.
 type Fanout struct {
 	urls   []string
 	ranges []Range
@@ -131,59 +133,74 @@ func (f *Fanout) Policy() FaultPolicy { return f.policy }
 //	router_straggler_gap     slowest minus fastest shard per fan-out
 func (f *Fanout) AttachObs(r *obs.Registry) { f.obs = r }
 
-// SweepBits implements qirana.RemoteSweeper.
-func (f *Fanout) SweepBits(ctx context.Context, sqls []string, spec qirana.SweepSpec) ([][]bool, []qirana.Stats, error) {
-	resps, err := f.sweep(ctx, sqls, spec, false)
+// Sweep implements qirana.Sweeper. Every shard gets its slice request
+// concurrently. An exact sweep cancels the outstanding requests on the
+// first exhausted budget and fails: it either returns every slice or
+// nothing. A Degraded sweep gives every shard its own full retry budget
+// and no sibling cancellation, and keeps whatever slices answered: the
+// result's Live mask leaves out the dead slices, which are zero-filled
+// and contribute nothing to Stats. At least one slice must survive.
+// Input-class failures (400/409) and the caller's own cancellation abort
+// either kind: degrading cannot fix a bad request, and a partial answer
+// would only hide it. A sampled sweep's Live is the sample mask every
+// shard swept.
+func (f *Fanout) Sweep(parent context.Context, sqls []string, spec qirana.SweepSpec) (qirana.SweepResult, error) {
+	if spec.SupportGen != f.info.SupportGen {
+		return qirana.SweepResult{}, fmt.Errorf("%w: router prices support gen %d but the cluster was connected at gen %d (a resample requires rebuilding the cluster)",
+			qirana.ErrSupportMismatch, spec.SupportGen, f.info.SupportGen)
+	}
+	if spec.Degraded && spec.Sampled() {
+		// The live mask marks whole slices as swept; degrading a sampled
+		// sweep would have to intersect the two.
+		return qirana.SweepResult{}, errors.New("degraded sweeps are exact per slice; sampled specs are not supported")
+	}
+	resps, err := f.fanout(parent, sqls, spec)
 	if err != nil {
-		return nil, nil, err
+		return qirana.SweepResult{}, err
 	}
 	defer f.obs.Timer("router_merge")()
 	nOut := outputs(sqls, spec.Bundle)
-	out := make([][]bool, nOut)
-	stats := make([]qirana.Stats, nOut)
-	for j := range out {
-		out[j] = make([]bool, f.info.Size)
+	res := qirana.SweepResult{Stats: make([]qirana.Stats, nOut)}
+	for j := 0; j < nOut; j++ {
+		if spec.Hashes {
+			res.Hashes = append(res.Hashes, make([]uint64, f.info.Size))
+		} else {
+			res.Bits = append(res.Bits, make([]bool, f.info.Size))
+		}
+	}
+	switch {
+	case spec.Sampled():
+		res.Live = support.SampleMask(f.info.Size, spec.SampleFrac, spec.SampleSeed, spec.SupportGen)
+	case spec.Degraded:
+		res.Live = make([]bool, f.info.Size)
 	}
 	for i, resp := range resps {
-		r := f.ranges[i]
-		if len(resp.Bits) != nOut {
-			return nil, nil, fmt.Errorf("%w: shard %d returned %d bit vectors, want %d", qirana.ErrShardUnavailable, i, len(resp.Bits), nOut)
+		if resp == nil {
+			continue // a dead slice of a degraded sweep
 		}
+		r := f.ranges[i]
 		for j := 0; j < nOut; j++ {
-			copy(out[j][r.Lo:r.Hi], durable.UnpackBits(resp.Bits[j], r.Width()))
-			addStats(&stats[j], resp.Stats[j])
+			if spec.Hashes {
+				copy(res.Hashes[j][r.Lo:r.Hi], resp.Hashes[j])
+			} else {
+				copy(res.Bits[j][r.Lo:r.Hi], durable.UnpackBits(resp.Bits[j], r.Width()))
+			}
+			res.Stats[j].Add(resp.Stats[j])
+		}
+		if spec.Degraded {
+			for x := r.Lo; x < r.Hi; x++ {
+				res.Live[x] = true
+			}
 		}
 	}
-	return out, stats, nil
+	return res, nil
 }
 
-// SweepHashes implements qirana.RemoteSweeper.
-func (f *Fanout) SweepHashes(ctx context.Context, sqls []string, spec qirana.SweepSpec) ([][]uint64, []qirana.Stats, error) {
-	resps, err := f.sweep(ctx, sqls, spec, true)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer f.obs.Timer("router_merge")()
-	nOut := outputs(sqls, spec.Bundle)
-	out := make([][]uint64, nOut)
-	stats := make([]qirana.Stats, nOut)
-	for j := range out {
-		out[j] = make([]uint64, f.info.Size)
-	}
-	for i, resp := range resps {
-		r := f.ranges[i]
-		if len(resp.Hashes) != nOut {
-			return nil, nil, fmt.Errorf("%w: shard %d returned %d hash vectors, want %d", qirana.ErrShardUnavailable, i, len(resp.Hashes), nOut)
-		}
-		for j := 0; j < nOut; j++ {
-			if len(resp.Hashes[j]) != r.Width() {
-				return nil, nil, fmt.Errorf("%w: shard %d returned %d hashes for slice of width %d", qirana.ErrShardUnavailable, i, len(resp.Hashes[j]), r.Width())
-			}
-			copy(out[j][r.Lo:r.Hi], resp.Hashes[j])
-			addStats(&stats[j], resp.Stats[j])
-		}
-	}
-	return out, stats, nil
+// SweepBits is Sweep for disagreement bitmaps.
+func (f *Fanout) SweepBits(ctx context.Context, sqls []string, spec qirana.SweepSpec) ([][]bool, []qirana.Stats, error) {
+	spec.Hashes = false
+	res, err := f.Sweep(ctx, sqls, spec)
+	return res.Bits, res.Stats, err
 }
 
 func outputs(sqls []string, bundle bool) int {
@@ -193,15 +210,13 @@ func outputs(sqls []string, bundle bool) int {
 	return len(sqls)
 }
 
-// sweep fans one slice request out to every shard concurrently, each
+// fanout sends one slice request to every shard concurrently, each
 // under the fault policy's retry/hedge/breaker budget (call, in
-// call.go). The first exhausted budget cancels the outstanding
-// requests: an exact sweep either returns every slice or nothing.
-func (f *Fanout) sweep(parent context.Context, sqls []string, spec qirana.SweepSpec, hashes bool) ([]*qirana.SweepSliceResponse, error) {
-	if spec.SupportGen != f.info.SupportGen {
-		return nil, fmt.Errorf("%w: router prices support gen %d but the cluster was connected at gen %d (a resample requires rebuilding the cluster)",
-			qirana.ErrSupportMismatch, spec.SupportGen, f.info.SupportGen)
-	}
+// call.go), and returns the responses in shard order. In an exact sweep
+// the first exhausted budget cancels the outstanding requests and fails
+// the fan-out; in a degraded one a shard fault leaves that slice's
+// response nil, and only all shards failing is an error.
+func (f *Fanout) fanout(parent context.Context, sqls []string, spec qirana.SweepSpec) ([]*qirana.SweepSliceResponse, error) {
 	f.obs.Add("router_fanout_rpcs", uint64(len(f.urls)))
 	defer f.obs.Timer("router_fanout")()
 	ctx, cancel := context.WithCancel(parent)
@@ -215,40 +230,43 @@ func (f *Fanout) sweep(parent context.Context, sqls []string, spec qirana.SweepS
 		go func(i int) {
 			defer wg.Done()
 			start := time.Now()
-			resps[i], errs[i] = f.call(ctx, parent, i, sqls, spec, hashes)
+			resps[i], errs[i] = f.call(ctx, parent, i, sqls, spec)
 			durs[i] = time.Since(start)
-			if errs[i] != nil {
+			if errs[i] != nil && !spec.Degraded {
 				cancel()
 			}
 		}(i)
 	}
 	wg.Wait()
 	// Prefer a root-cause error over the cancellations it induced in the
-	// sibling requests.
+	// sibling requests (and, degraded, a fault that may carry a breaker's
+	// Retry-After hint for the all-shards-down answer).
 	var firstErr error
+	alive := 0
 	for i, err := range errs {
 		if err == nil {
+			alive++
 			continue
 		}
 		f.obs.Add("router_shard_errors", 1)
+		err = fmt.Errorf("shard %d (%s): %w", i, f.urls[i], err)
+		if spec.Degraded && !errors.Is(err, qirana.ErrShardUnavailable) {
+			return nil, err
+		}
 		if firstErr == nil || (errors.Is(firstErr, context.Canceled) && !errors.Is(err, context.Canceled)) {
-			firstErr = fmt.Errorf("shard %d (%s): %w", i, f.urls[i], err)
+			firstErr = err
 		}
 	}
-	if firstErr != nil {
+	if firstErr == nil {
+		gap := slices.Max(durs) - slices.Min(durs)
+		f.obs.Observe("router_straggler_gap", gap)
+		f.gap.observe(gap)
+		return resps, nil
+	}
+	if !spec.Degraded || alive == 0 {
 		return nil, firstErr
 	}
-	min, max := durs[0], durs[0]
-	for _, d := range durs[1:] {
-		if d < min {
-			min = d
-		}
-		if d > max {
-			max = d
-		}
-	}
-	f.obs.Observe("router_straggler_gap", max-min)
-	f.gap.observe(max - min)
+	f.obs.Add("router_degraded_sweeps", 1)
 	return resps, nil
 }
 
@@ -263,10 +281,10 @@ func (f *Fanout) sweep(parent context.Context, sqls []string, spec qirana.SweepS
 // here may be a derived group/hedge context; its cancellation means a
 // sibling aborted the fan-out, which likewise is not this shard's
 // fault.)
-func (f *Fanout) post(ctx, parent context.Context, i int, sqls []string, spec qirana.SweepSpec, hashes bool) (*qirana.SweepSliceResponse, error) {
+func (f *Fanout) post(ctx, parent context.Context, i int, sqls []string, spec qirana.SweepSpec) (*qirana.SweepSliceResponse, error) {
 	r := f.ranges[i]
 	sreq := qirana.SweepSliceRequest{
-		SQLs: sqls, Bundle: spec.Bundle, Hashes: hashes,
+		SQLs: sqls, Bundle: spec.Bundle, Hashes: spec.Hashes,
 		Lo: r.Lo, Hi: r.Hi,
 		SupportGen: spec.SupportGen, SupportSum: f.info.SupportSum,
 	}
@@ -314,10 +332,44 @@ func (f *Fanout) post(ctx, parent context.Context, i int, sqls []string, spec qi
 		}
 		return nil, fmt.Errorf("%w: decode sweep response: %v", qirana.ErrShardUnavailable, err)
 	}
-	if resp.Lo != r.Lo || resp.Hi != r.Hi {
-		return nil, fmt.Errorf("%w: asked for slice [%d, %d) but got [%d, %d)", qirana.ErrShardUnavailable, r.Lo, r.Hi, resp.Lo, resp.Hi)
+	if err := checkSlice(&resp, r, outputs(sqls, spec.Bundle), spec.Hashes); err != nil {
+		return nil, fmt.Errorf("%w: %v", qirana.ErrShardUnavailable, err)
 	}
 	return &resp, nil
+}
+
+// checkSlice verifies that a decoded slice answer has exactly the shape
+// the merge reads: the asked-for bounds, one vector per output of the
+// slice's width (packed bits or hashes), and one Stats per output. A
+// short answer would otherwise panic the merge or, for bits, unpack its
+// missing tail as "agree" and price below exact.
+func checkSlice(resp *qirana.SweepSliceResponse, r Range, nOut int, hashes bool) error {
+	if resp.Lo != r.Lo || resp.Hi != r.Hi {
+		return fmt.Errorf("asked for slice [%d, %d) but got [%d, %d)", r.Lo, r.Hi, resp.Lo, resp.Hi)
+	}
+	if len(resp.Stats) != nOut {
+		return fmt.Errorf("returned %d stats, want %d", len(resp.Stats), nOut)
+	}
+	if hashes {
+		if len(resp.Hashes) != nOut {
+			return fmt.Errorf("returned %d hash vectors, want %d", len(resp.Hashes), nOut)
+		}
+		for _, h := range resp.Hashes {
+			if len(h) != r.Width() {
+				return fmt.Errorf("returned %d hashes for slice of width %d", len(h), r.Width())
+			}
+		}
+		return nil
+	}
+	if len(resp.Bits) != nOut {
+		return fmt.Errorf("returned %d bit vectors, want %d", len(resp.Bits), nOut)
+	}
+	for _, b := range resp.Bits {
+		if len(b) != (r.Width()+7)/8 {
+			return fmt.Errorf("returned %d packed bytes for slice of width %d", len(b), r.Width())
+		}
+	}
+	return nil
 }
 
 // readErrorMessage extracts the error body — either the typed
@@ -340,13 +392,4 @@ func readErrorMessage(r io.Reader) string {
 		return flat.Error
 	}
 	return string(bytes.TrimSpace(data))
-}
-
-func addStats(sum *qirana.Stats, s qirana.Stats) {
-	sum.Static += s.Static
-	sum.Batched += s.Batched
-	sum.FullRuns += s.FullRuns
-	sum.Naive += s.Naive
-	sum.DeltaFull += s.DeltaFull
-	sum.DeltaPartial += s.DeltaPartial
 }

@@ -77,7 +77,7 @@ func (c *Cluster) Close() {
 // cluster: it builds n read-only workers over router's own support set,
 // serves them on loopback ports, handshakes a Fanout against them,
 // verifies the agreed identity against the router, and installs the
-// fan-out as the router's RemoteSweeper. The caller owns the returned
+// fan-out as the router's Sweeper. The caller owns the returned
 // Cluster (Close it when done).
 func AttachLocal(router *qirana.Broker, db *qirana.Database, n int, opt qirana.Options) (*Cluster, error) {
 	brokers, err := NewShardBrokers(router, db, n, opt)

@@ -32,10 +32,13 @@ type fakeShard struct {
 	srv    *httptest.Server
 }
 
-func fakeDisagree(x, j int) bool    { return (x+j)%3 == 0 }
-func fakeHash(x, j int) uint64      { return uint64(x)*2654435761 + uint64(j) }
-func testInfo(size int) Info        { return Info{SupportGen: 1, SupportSum: 42, Size: size} }
-func testSpec() qirana.SweepSpec    { return qirana.SweepSpec{SupportGen: 1} }
+func fakeDisagree(x, j int) bool { return (x+j)%3 == 0 }
+func fakeHash(x, j int) uint64   { return uint64(x)*2654435761 + uint64(j) }
+func testInfo(size int) Info     { return Info{SupportGen: 1, SupportSum: 42, Size: size} }
+func testSpec() qirana.SweepSpec { return qirana.SweepSpec{SupportGen: 1} }
+func degradedSpec(hashes bool) qirana.SweepSpec {
+	return qirana.SweepSpec{SupportGen: 1, Degraded: true, Hashes: hashes}
+}
 func noHedge(p FaultPolicy) FaultPolicy { p.DisableHedging = true; return p }
 
 func newFakeShard(t *testing.T, size int) *fakeShard {
@@ -376,10 +379,11 @@ func TestDegradedSweepLiveMask(t *testing.T) {
 	shards[1].behave = func(_ int64, w http.ResponseWriter, r *http.Request) bool {
 		panic(http.ErrAbortHandler) // hard down: connection aborted
 	}
-	bits, stats, live, err := f.SweepBitsDegraded(context.Background(), []string{"q0", "q1"}, testSpec())
+	res, err := f.Sweep(context.Background(), []string{"q0", "q1"}, degradedSpec(false))
 	if err != nil {
-		t.Fatalf("SweepBitsDegraded: %v", err)
+		t.Fatalf("degraded Sweep: %v", err)
 	}
+	bits, stats, live := res.Bits, res.Stats, res.Live
 	dead := f.ranges[1]
 	want := wantBits(90, 2)
 	for x := 0; x < 90; x++ {
@@ -406,10 +410,11 @@ func TestDegradedSweepLiveMask(t *testing.T) {
 	}
 
 	// The hash analogue.
-	hashes, _, hlive, err := f.SweepHashesDegraded(context.Background(), []string{"q0"}, testSpec())
+	hres, err := f.Sweep(context.Background(), []string{"q0"}, degradedSpec(true))
 	if err != nil {
-		t.Fatalf("SweepHashesDegraded: %v", err)
+		t.Fatalf("degraded hash Sweep: %v", err)
 	}
+	hashes, hlive := hres.Hashes, hres.Live
 	for x := 0; x < 90; x++ {
 		inDead := x >= dead.Lo && x < dead.Hi
 		if hlive[x] == inDead {
@@ -430,7 +435,7 @@ func TestDegradedSweepAllShardsDown(t *testing.T) {
 			panic(http.ErrAbortHandler)
 		}
 	}
-	_, _, _, err := f.SweepBitsDegraded(context.Background(), []string{"q"}, testSpec())
+	_, err := f.Sweep(context.Background(), []string{"q"}, degradedSpec(false))
 	if !errors.Is(err, qirana.ErrShardUnavailable) {
 		t.Fatalf("all-down degraded sweep: want ErrShardUnavailable, got %v", err)
 	}
@@ -438,9 +443,9 @@ func TestDegradedSweepAllShardsDown(t *testing.T) {
 
 func TestDegradedSweepRejectsSampledSpec(t *testing.T) {
 	_, f, _ := newFakeCluster(t, 2, 32, noHedge(DefaultFaultPolicy()))
-	spec := testSpec()
+	spec := degradedSpec(false)
 	spec.SampleFrac, spec.SampleSeed = 0.5, 7
-	if _, _, _, err := f.SweepBitsDegraded(context.Background(), []string{"q"}, spec); err == nil {
+	if _, err := f.Sweep(context.Background(), []string{"q"}, spec); err == nil {
 		t.Fatal("degraded sweep accepted a sampled spec")
 	}
 }
@@ -452,8 +457,81 @@ func TestDegradedSweepRejectsInputError(t *testing.T) {
 		http.Error(w, `{"error":"no such table"}`, http.StatusBadRequest)
 		return true
 	}
-	_, _, _, err := f.SweepBitsDegraded(context.Background(), []string{"q"}, testSpec())
+	_, err := f.Sweep(context.Background(), []string{"q"}, degradedSpec(false))
 	if err == nil || errors.Is(err, qirana.ErrShardUnavailable) {
 		t.Fatalf("a 400 must abort the degraded sweep as an input error, got %v", err)
+	}
+}
+
+// TestMalformedSliceIsAShardFault drives a shard that answers 200 with a
+// slice of the wrong shape: bits one byte short of the slice width (which
+// would unpack as "agree" and price below exact) and fewer Stats than
+// outputs (which would panic the merge). Either must count as a shard
+// fault — retried, and charged to the breaker — and a degraded sweep
+// must treat that slice as missing.
+func TestMalformedSliceIsAShardFault(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mangle func(*qirana.SweepSliceResponse)
+	}{
+		{"short bits", func(r *qirana.SweepSliceResponse) { r.Bits[0] = r.Bits[0][:len(r.Bits[0])-1] }},
+		{"short stats", func(r *qirana.SweepSliceResponse) { r.Stats = r.Stats[:1] }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := noHedge(DefaultFaultPolicy())
+			p.MaxAttempts = 2
+			p.RetryBase = time.Millisecond
+			p.BreakerThreshold = 100 // count faults without tripping
+			shards, f, reg := newFakeCluster(t, 2, 64, p)
+			// Shard 1 serves its real slice, mangled after encoding the
+			// correct answer.
+			shards[1].behave = func(_ int64, w http.ResponseWriter, r *http.Request) bool {
+				rec := httptest.NewRecorder()
+				shards[0].srv.Config.Handler.ServeHTTP(rec, r)
+				var resp qirana.SweepSliceResponse
+				if err := json.NewDecoder(rec.Body).Decode(&resp); err != nil {
+					t.Errorf("decode real slice: %v", err)
+				}
+				tc.mangle(&resp)
+				json.NewEncoder(w).Encode(resp)
+				return true
+			}
+			sqls := []string{"q0", "q1"}
+			if _, _, err := f.SweepBits(context.Background(), sqls, testSpec()); !errors.Is(err, qirana.ErrShardUnavailable) {
+				t.Fatalf("exact sweep over a malformed slice: want ErrShardUnavailable, got %v", err)
+			}
+			if n := shards[1].sweeps.Load(); n != 2 {
+				t.Fatalf("shard 1 swept %d times, want 2 (malformed answers retry)", n)
+			}
+			if v := reg.Counter("router_retries").Value(); v != 1 {
+				t.Fatalf("router_retries = %d, want 1", v)
+			}
+			f.breakers[1].mu.Lock()
+			fails := f.breakers[1].fails
+			f.breakers[1].mu.Unlock()
+			if fails != 2 {
+				t.Fatalf("breaker counted %d faults, want 2 (both malformed answers)", fails)
+			}
+			res, err := f.Sweep(context.Background(), sqls, degradedSpec(false))
+			if err != nil {
+				t.Fatalf("degraded sweep: %v", err)
+			}
+			dead := f.ranges[1]
+			want := wantBits(64, 2)
+			for x := 0; x < 64; x++ {
+				inDead := x >= dead.Lo && x < dead.Hi
+				if res.Live[x] == inDead {
+					t.Fatalf("element %d: live=%v but the malformed slice is [%d,%d)", x, res.Live[x], dead.Lo, dead.Hi)
+				}
+				for j := range want {
+					if res.Bits[j][x] != (!inDead && want[j][x]) {
+						t.Fatalf("vector %d element %d: got %v", j, x, res.Bits[j][x])
+					}
+				}
+			}
+			if got := res.Stats[0].Naive + res.Stats[1].Naive; got != 2*(64-dead.Width()) {
+				t.Fatalf("degraded stats Naive = %d, want %d (answered slice only)", got, 2*(64-dead.Width()))
+			}
+		})
 	}
 }

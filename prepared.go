@@ -51,10 +51,10 @@ const maxBoundQueries = 128
 // for concurrent use.
 type Stmt struct {
 	b    *Broker
-	sql  string           // template text as given to Prepare
-	stmt *ast.SelectStmt  // parsed template; never mutated after Prepare
-	tmpl *ast.Template    // literal-stripped canonical form + sites
-	tbls []string         // referenced relations (binding-independent)
+	sql  string          // template text as given to Prepare
+	stmt *ast.SelectStmt // parsed template; never mutated after Prepare
+	tmpl *ast.Template   // literal-stripped canonical form + sites
+	tbls []string        // referenced relations (binding-independent)
 
 	mu    sync.Mutex
 	bound map[string]*exec.Query // param signature → bound compiled query
@@ -181,10 +181,10 @@ func (s *Stmt) PriceWith(ctx context.Context, fn PricingFunc, params ...Value) (
 	defer b.mu.RUnlock()
 	disK, entK := s.keys(fn, sig)
 	price, stats, cached, err := b.quoteKeyedLocked(ctx, fn, []*exec.Query{q}, func() string {
-		if fn == WeightedCoverage || fn == UniformEntropyGain {
-			return disK
+		if fn.UsesHashes() {
+			return entK()
 		}
-		return entK()
+		return disK
 	})
 	if err != nil {
 		return nil, err

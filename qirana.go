@@ -271,7 +271,7 @@ type Broker struct {
 	// with a remote fan-out (the shard router). Cache keys, purchase
 	// folds and served prices are unchanged — only who walks the support
 	// set differs. See cluster.go.
-	sweeper RemoteSweeper
+	sweeper Sweeper
 
 	// readOnly refuses every state mutation (purchases, weight refits,
 	// checkpoints): the mode of shard workers and un-promoted standbys,
@@ -514,50 +514,78 @@ func (b *Broker) cached(ctx context.Context, key string, compute func() (any, er
 	return v, !computed, err
 }
 
-// disEntry is a cached disagreement bitmap plus the Stats of the cold
+// exactEntry is one cached exact sweep output plus the Stats of the cold
 // computation that produced it (restored on hits so warm and cold quotes
-// report identically). The bitmap is shared read-only by every consumer.
-type disEntry struct {
+// report identically). Coverage-style functions cache the disagreement
+// bitmap, which depends on neither the pricing function nor the weights,
+// so one entry serves every coverage quote and every buyer's purchase;
+// it is shared read-only by every consumer. Entropy functions cache the
+// final price.
+type exactEntry struct {
 	dis   []bool
-	stats pricing.Stats
-}
-
-// priceEntry is a cached final entropy price.
-type priceEntry struct {
 	price float64
 	stats pricing.Stats
 }
 
-// disagreements returns the bundle's full (history-oblivious)
-// disagreement bitmap under the given cache key, from the cache when
-// possible (the bool reports provenance). Callers hold mu.RLock and
-// compute key with disKey (or a prepared statement's precomputed
-// template key, which is identical by construction).
-func (b *Broker) disagreements(ctx context.Context, qs []*exec.Query, key string) (disEntry, bool, error) {
-	v, cached, err := b.cached(ctx, key, func() (any, error) {
-		if rs := b.sweeper; rs != nil {
-			// Remote cold sweep: the shards walk their slices and return
-			// per-element bits; the fold reproduces global index order, so
-			// the cached entry is indistinguishable from a local sweep's.
-			dis, stats, err := rs.SweepBits(ctx, sqlsOf(qs), SweepSpec{Bundle: true, SupportGen: b.supportGen})
-			if err != nil {
-				return nil, err
-			}
-			return disEntry{dis: dis[0], stats: stats[0]}, nil
-		}
-		b.engineMu.Lock()
-		defer b.engineMu.Unlock()
-		b.refreshEngineLocked()
-		dis, err := b.engine.DisagreementsCtx(ctx, qs, nil)
+// price folds the entry into fn's price with the current weights —
+// for bitmaps exactly the summation of the cold path, so bit-identical.
+func (b *Broker) price(fn PricingFunc, ent exactEntry) (float64, error) {
+	if fn.UsesHashes() {
+		return ent.price, nil
+	}
+	return b.engine.PriceFromDisagreements(fn, ent.dis)
+}
+
+// exactEntries resolves the exact entries of qs — one for a bundle, one
+// per query otherwise — from the cache where possible, sweeping the
+// misses together (the bool slice reports per-entry provenance).
+// Callers hold mu.RLock; keyOf is disKey or entropyKey (or a prepared
+// statement's precomputed template key, identical by construction).
+func (b *Broker) exactEntries(ctx context.Context, fn PricingFunc, qs []*exec.Query, bundle bool, keyOf func([]*exec.Query) string) ([]exactEntry, []bool, error) {
+	if !fn.Valid() {
+		return nil, nil, fmt.Errorf("unknown pricing function %v", fn)
+	}
+	return batchEntries(ctx, b, qs, bundle, keyOf, func(ctx context.Context, miss []*exec.Query) ([]exactEntry, error) {
+		r, err := b.sweep(ctx, miss, SweepSpec{Bundle: bundle, Hashes: fn.UsesHashes()}, nil)
 		if err != nil {
 			return nil, err
 		}
-		return disEntry{dis: dis, stats: b.engine.LastStats}, nil
+		out := make([]exactEntry, len(r.Stats))
+		for x := range out {
+			out[x] = exactEntry{stats: r.Stats[x]}
+			if r.Hashes == nil {
+				out[x].dis = r.Bits[x]
+			} else if out[x].price, err = b.engine.EntropyPriceFromHashes(fn, r.Hashes[x]); err != nil {
+				return nil, err
+			}
+		}
+		return out, nil
 	})
-	if err != nil {
-		return disEntry{}, false, err
+}
+
+// sweep is the broker's one support-set sweep. A router hands it to the
+// installed Sweeper, whose shards walk their slices and return
+// per-element vectors that reassemble in global index order, so every
+// consumer sees exactly what a local sweep would produce. Otherwise it
+// runs on the local engine, serialized by engineMu, over the spec's
+// sample (if any) intersected with within (nil = all; a shard passes
+// its slice, which always sweeps locally). Callers hold mu.RLock.
+func (b *Broker) sweep(ctx context.Context, qs []*exec.Query, spec SweepSpec, within []bool) (SweepResult, error) {
+	spec.SupportGen = b.supportGen
+	if rs := b.sweeper; rs != nil && within == nil {
+		return rs.Sweep(ctx, sqlsOf(qs), spec)
 	}
-	return v.(disEntry), cached, nil
+	live := within
+	if spec.Sampled() {
+		live = support.SampleMask(b.engine.Set.Size(), spec.SampleFrac, spec.SampleSeed, spec.SupportGen)
+		for i := range within {
+			live[i] = live[i] && within[i]
+		}
+	}
+	b.engineMu.Lock()
+	defer b.engineMu.Unlock()
+	b.refreshEngineLocked()
+	return b.engine.Sweep(ctx, qs, pricing.SweepSpec{Bundle: spec.Bundle, Hashes: spec.Hashes, Live: live})
 }
 
 // sqlsOf extracts the original SQL texts of a compiled bundle (the wire
@@ -568,42 +596,6 @@ func sqlsOf(qs []*exec.Query) []string {
 		out[i] = q.SQL
 	}
 	return out
-}
-
-// entropyPrice returns the bundle's price under an entropy pricing
-// function, from the cache when possible (the bool reports provenance).
-// Callers hold mu.RLock; key comes from entropyKey or a prepared
-// statement's precomputed equivalent.
-func (b *Broker) entropyPrice(ctx context.Context, fn PricingFunc, qs []*exec.Query, key string) (priceEntry, bool, error) {
-	v, cached, err := b.cached(ctx, key, func() (any, error) {
-		if rs := b.sweeper; rs != nil {
-			// Remote entropy sweep: shards return per-element output-hash
-			// slices; concatenated in shard order they reproduce the full
-			// vector, and the local block fold is the single-node one.
-			elems, stats, err := rs.SweepHashes(ctx, sqlsOf(qs), SweepSpec{Bundle: true, SupportGen: b.supportGen})
-			if err != nil {
-				return nil, err
-			}
-			p, err := b.engine.EntropyPriceFromHashes(fn, elems[0])
-			if err != nil {
-				return nil, err
-			}
-			return priceEntry{price: p, stats: stats[0]}, nil
-		}
-		b.engineMu.Lock()
-		defer b.engineMu.Unlock()
-		b.refreshEngineLocked()
-		b.engine.LastStats = pricing.Stats{}
-		p, err := b.engine.PriceCtx(ctx, fn, qs...)
-		if err != nil {
-			return nil, err
-		}
-		return priceEntry{price: p, stats: b.engine.LastStats}, nil
-	})
-	if err != nil {
-		return priceEntry{}, false, err
-	}
-	return v.(priceEntry), cached, nil
 }
 
 // refreshEngineLocked rebuilds per-query engine state (disagreement
@@ -632,39 +624,25 @@ func (b *Broker) setLastStats(s pricing.Stats) {
 // mu.RLock.
 func (b *Broker) quoteLocked(ctx context.Context, fn PricingFunc, qs []*exec.Query) (float64, Stats, bool, error) {
 	return b.quoteKeyedLocked(ctx, fn, qs, func() string {
-		if fn == WeightedCoverage || fn == UniformEntropyGain {
-			return b.disKey(qs)
+		if fn.UsesHashes() {
+			return b.entropyKey(fn, qs)
 		}
-		return b.entropyKey(fn, qs)
+		return b.disKey(qs)
 	})
 }
 
 // quoteKeyedLocked is quoteLocked with the cache key supplied by the
-// caller (computed lazily — only the branch that needs it pays for it).
-// The prepared-statement fast path enters here with precomputed template
+// caller (computed lazily, on the path that needs it). The
+// prepared-statement fast path enters here with precomputed template
 // keys, skipping every per-call canonical render. Callers hold mu.RLock.
 func (b *Broker) quoteKeyedLocked(ctx context.Context, fn PricingFunc, qs []*exec.Query, key func() string) (float64, Stats, bool, error) {
-	switch fn {
-	case WeightedCoverage, UniformEntropyGain:
-		ent, cached, err := b.disagreements(ctx, qs, key())
-		if err != nil {
-			return 0, Stats{}, false, err
-		}
-		b.setLastStats(ent.stats)
-		// Summing the current weights over the cached bitmap is the exact
-		// summation the cold path performs — bit-identical, and correct
-		// across weight refits because the bitmap is weight-independent.
-		p, err := b.engine.PriceFromDisagreements(fn, ent.dis)
-		return p, ent.stats, cached, err
-	case ShannonEntropy, QEntropy:
-		ent, cached, err := b.entropyPrice(ctx, fn, qs, key())
-		if err != nil {
-			return 0, Stats{}, false, err
-		}
-		b.setLastStats(ent.stats)
-		return ent.price, ent.stats, cached, nil
+	ents, cached, err := b.exactEntries(ctx, fn, qs, true, func([]*exec.Query) string { return key() })
+	if err != nil {
+		return 0, Stats{}, false, err
 	}
-	return 0, Stats{}, false, fmt.Errorf("unknown pricing function %v", fn)
+	b.setLastStats(ents[0].stats)
+	p, err := b.price(fn, ents[0])
+	return p, ents[0].stats, cached[0], err
 }
 
 // Quote prices a query (history-oblivious) with the broker's pricing
@@ -732,22 +710,30 @@ func (b *Broker) QuoteBatchWith(fn PricingFunc, sqls []string) ([]float64, error
 	return resp.Prices, nil
 }
 
-func addStats(sum *pricing.Stats, s pricing.Stats) {
-	sum.Static += s.Static
-	sum.Batched += s.Batched
-	sum.FullRuns += s.FullRuns
-	sum.Naive += s.Naive
-	sum.DeltaFull += s.DeltaFull
-	sum.DeltaPartial += s.DeltaPartial
-}
-
-// batchEntries resolves one cache entry per query: hits from the LRU,
-// in-batch duplicates folded onto one computation, and the remaining
-// misses computed together by the shared ctx-aware sweep and inserted via
-// Put. The returned bool slice aligns with qs and reports per-entry
-// provenance: true when the entry came from the cache (duplicates inherit
-// the provenance of the slot that resolved their key).
-func batchEntries[E any](ctx context.Context, b *Broker, qs []*exec.Query, keyOf func([]*exec.Query) string, sweep func(context.Context, []*exec.Query) ([]E, error)) ([]E, []bool, error) {
+// batchEntries resolves the cache entries of qs: one for the whole
+// bundle, or one per query of an independent batch. A lone entry goes
+// through the cache's singleflight, so concurrent identical requests
+// coalesce. Otherwise hits come from the LRU, in-batch duplicates fold
+// onto one computation, and the remaining misses are computed together
+// by the shared ctx-aware sweep and inserted via Put. The returned bool
+// slice aligns with the entries and reports per-entry provenance: true
+// when the entry came from the cache or another caller's flight
+// (duplicates inherit the provenance of the slot that resolved their
+// key).
+func batchEntries[E any](ctx context.Context, b *Broker, qs []*exec.Query, bundle bool, keyOf func([]*exec.Query) string, sweep func(context.Context, []*exec.Query) ([]E, error)) ([]E, []bool, error) {
+	if bundle || len(qs) == 1 {
+		v, cached, err := b.cached(ctx, keyOf(qs), func() (any, error) {
+			out, err := sweep(ctx, qs)
+			if err != nil {
+				return nil, err
+			}
+			return out[0], nil
+		})
+		if err != nil {
+			return nil, nil, err
+		}
+		return []E{v.(E)}, []bool{cached}, nil
+	}
 	entries := make([]E, len(qs))
 	cached := make([]bool, len(qs))
 	keys := make([]string, len(qs))
