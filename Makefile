@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build perfbench-vet test race bench json-bench vet lint lint-dup fuzz crash chaos bench-compare throughput serve cluster
+.PHONY: all build perfbench-vet perfbench-smoke test race bench json-bench vet lint lint-dup fuzz crash chaos bench-compare throughput serve cluster
 
 all: build vet test
 
@@ -12,6 +12,18 @@ build: perfbench-vet
 # benchmark while every other check stays green.
 perfbench-vet:
 	cd perfbench && GOWORK=off $(GO) vet ./...
+
+# Benchmark smoke: each gated perfbench workload for 4 s (about 8 s each
+# with the build on 2 vCPUs). perfbench exits 0 even when its correctness
+# check fails, so the verdict is read from the last JSON line it prints:
+# it must say "correct":true and "failed":0.
+perfbench-smoke:
+	@for w in warm-quotes cold-quotes; do \
+		last=$$(bash perfbench/run.sh --workload $$w --seed 1 --seconds 4 | grep '^{' | tail -n 1); \
+		echo "$$w: $$last"; \
+		echo "$$last" | grep -q '"correct":true' || { echo "perfbench-smoke: $$w failed its correctness check"; exit 1; }; \
+		echo "$$last" | grep -Eq '"failed":0[,}]' || { echo "perfbench-smoke: $$w had failed operations"; exit 1; }; \
+	done
 
 test: vet
 	$(GO) test ./...

@@ -93,14 +93,20 @@ type CheckStats struct {
 }
 
 // Checker decides disagreements for one query over one database. It is
-// built once per priced query: construction runs the contribution query
-// (and, for aggregates, the unrolled query) a single time.
+// built once per priced query, in one streaming pass over the query's
+// join σ_C (R₁ × … × R_ℓ): each joined tuple is projected once, into one
+// reused buffer, and that row feeds the contribution key sets and, for
+// aggregates, the group view. An aggregate checker compiles and runs one
+// statement for both (SPJ.UnrolledStmt); a plain SPJ checker streams its
+// contribution query (SPJ.ContribStmt).
 type Checker struct {
 	Q   *exec.Query
 	SPJ *plan.SPJ
 	db  *storage.Database
 
-	contribQ  *exec.Query
+	// unrolledQ is an aggregate checker's compiled base statement: it
+	// builds the group view and contribution sets at construction and
+	// runs the residual checks afterwards. nil for plain SPJ.
 	unrolledQ *exec.Query
 
 	contrib []map[string]bool // per source: contributing PK set
@@ -132,19 +138,14 @@ type Checker struct {
 }
 
 // cacheSnapshot sums the execution-cache counters of every compiled query
-// the checker runs (the priced query and, for aggregates, its unrolled
-// form; the contribution query only runs at construction time).
+// the checker runs, each once: the priced query and, for aggregates, its
+// unrolled form.
 func (c *Checker) cacheSnapshot() exec.CacheStats {
 	s := c.Q.CacheStats()
 	if c.unrolledQ != nil {
 		u := c.unrolledQ.CacheStats()
 		s.Hits += u.Hits
 		s.Misses += u.Misses
-	}
-	if c.contribQ != nil {
-		t := c.contribQ.CacheStats()
-		s.Hits += t.Hits
-		s.Misses += t.Misses
 	}
 	return s
 }
@@ -199,38 +200,46 @@ func newChecker(q *exec.Query, db *storage.Database, tiered bool) (*Checker, err
 			c.multi[l] = true
 		}
 	}
-	c.contribQ, err = exec.CompileStmt(s.ContribStmt, db.Schema)
-	if err != nil {
-		return nil, fmt.Errorf("compile contribution query: %w", err)
-	}
-	res, err := c.contribQ.Run(db)
-	if err != nil {
-		return nil, fmt.Errorf("run contribution query: %w", err)
-	}
 	c.contrib = make([]map[string]bool, len(s.RelOfSource))
 	for i := range c.contrib {
 		c.contrib[i] = make(map[string]bool)
 	}
-	for _, row := range res.Rows {
-		for i := range c.contrib {
-			off, w := s.ContribOff[i], s.ContribPKW[i]
-			c.contrib[i][value.Key(row[off:off+w])] = true
+	// collect adds one projected row's per-source primary keys, found from
+	// column pk on, to the contribution sets.
+	var key []byte
+	collect := func(pk int) func(row []value.Value) {
+		return func(row []value.Value) {
+			for i, set := range c.contrib {
+				off := pk + s.ContribOff[i]
+				key = value.AppendKey(key[:0], row[off:off+s.ContribPKW[i]])
+				if !set[string(key)] {
+					set[string(key)] = true
+				}
+			}
 		}
 	}
-	if s.IsAgg {
-		c.unrolledQ, err = exec.CompileStmt(s.UnrolledStmt, db.Schema)
+	if !s.IsAgg {
+		cq, err := exec.CompileStmt(s.ContribStmt, db.Schema)
 		if err != nil {
-			return nil, fmt.Errorf("compile unrolled query: %w", err)
+			return nil, fmt.Errorf("compile contribution query: %w", err)
 		}
-		c.viewSpec = exec.GroupViewSpec{NumGroups: s.NumGroups, Candidates: tiered}
-		for _, ag := range s.Aggs {
-			c.viewSpec.Aggs = append(c.viewSpec.Aggs, exec.ViewAgg{Fn: ag.Fn.Name, ArgCol: ag.ArgCol})
+		if err := cq.ForEachRow(db, collect(0)); err != nil {
+			return nil, fmt.Errorf("run contribution query: %w", err)
 		}
-		// Build (and cache) the group view now so construction surfaces
-		// execution errors, exactly as the legacy eager bookkeeping did.
-		if _, err := c.groupView(); err != nil {
-			return nil, fmt.Errorf("run unrolled query: %w", err)
-		}
+		return c, nil
+	}
+	c.unrolledQ, err = exec.CompileStmt(s.UnrolledStmt, db.Schema)
+	if err != nil {
+		return nil, fmt.Errorf("compile unrolled query: %w", err)
+	}
+	c.viewSpec = exec.GroupViewSpec{NumGroups: s.NumGroups, Candidates: tiered}
+	for _, ag := range s.Aggs {
+		c.viewSpec.Aggs = append(c.viewSpec.Aggs, exec.ViewAgg{Fn: ag.Fn.Name, ArgCol: ag.ArgCol})
+	}
+	// One pass builds (and caches) the group view and fills the
+	// contribution sets from the same rows.
+	if _, err := c.unrolledQ.GroupView(db, c.viewSpec, collect(s.UnrolledPK)); err != nil {
+		return nil, fmt.Errorf("run unrolled query: %w", err)
 	}
 	return c, nil
 }
@@ -239,7 +248,7 @@ func newChecker(q *exec.Query, db *storage.Database, tiered bool) (*Checker, err
 // from the version-stamped execution cache (rebuilt only when a base
 // relation's version moved).
 func (c *Checker) groupView() (*exec.GroupView, error) {
-	return c.unrolledQ.GroupView(c.db, c.viewSpec)
+	return c.unrolledQ.GroupView(c.db, c.viewSpec, nil)
 }
 
 // Classify makes the static decision of Algorithms 4/5/6 for one update,

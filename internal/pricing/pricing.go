@@ -126,8 +126,9 @@ type Engine struct {
 	LastStats   Stats
 
 	// Obs, when non-nil, receives per-stage latency observations from the
-	// engine and its checkers (stage_classify, stage_tagged_batch,
-	// stage_residual, stage_entropy). Set by the broker; nil is a no-op.
+	// engine and its checkers (stage_checker_build, stage_classify,
+	// stage_tagged_batch, stage_delta, stage_residual, stage_entropy).
+	// Set by the broker; nil is a no-op.
 	Obs *obs.Registry
 
 	// weightsEpoch counts weight-vector installations. External caches
@@ -212,7 +213,9 @@ func (e *Engine) checker(q *exec.Query) *disagree.Checker {
 	if e.Opts.DisableDeltaTiers {
 		build = disagree.NewUntiered
 	}
+	stop := e.Obs.Timer("stage_checker_build")
 	c, err := build(q, e.DB)
+	stop()
 	if err != nil {
 		e.uncheckable[q] = true
 		return nil

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"qirana/internal/obs"
 	"qirana/internal/schema"
 	"qirana/internal/sqlengine/exec"
 	"qirana/internal/storage"
@@ -368,5 +369,21 @@ func TestStatsPopulated(t *testing.T) {
 	s := e.LastStats
 	if s.Static+s.Batched+s.FullRuns+s.Naive == 0 {
 		t.Fatal("no work recorded in stats")
+	}
+}
+
+// TestCheckerBuildTimed: stage_checker_build observes each checker
+// construction once; a repriced query reuses its cached checker.
+func TestCheckerBuildTimed(t *testing.T) {
+	e := newEngine(t, benchDB(3, 100), 100, 100)
+	e.Obs = obs.New()
+	q := exec.MustCompile("SELECT c, sum(b) FROM R WHERE a > 5 GROUP BY c", e.DB.Schema)
+	for i := 0; i < 2; i++ {
+		if _, err := e.Price(WeightedCoverage, q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := e.Obs.Snapshot().Latencies["stage_checker_build"].Count; n != 1 {
+		t.Fatalf("stage_checker_build observed %d builds, want 1", n)
 	}
 }

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 
 	"qirana/internal/sqlengine/analyze"
 	"qirana/internal/sqlengine/ast"
@@ -145,24 +146,43 @@ func (q *Query) deltaExpand(db *storage.Database, srcs []int, minus, plus [][]va
 
 // rawRows joins and projects the query under the given overrides WITHOUT
 // the DISTINCT / ORDER BY / LIMIT epilogue: the raw core-row multiset the
-// delta rewrites and the materialized views are defined over. The query
-// must not aggregate.
+// delta rewrites are defined over. The query must not aggregate.
 func (q *Query) rawRows(db *storage.Database, ov Overrides, sov map[int][][]value.Value) ([][]value.Value, error) {
+	var out [][]value.Value
+	err := q.eachRow(db, ov, sov, func(row []value.Value) {
+		out = append(out, slices.Clone(row))
+	})
+	return out, err
+}
+
+// ForEachRow streams the raw core rows of a non-aggregating query over db
+// (no DISTINCT / ORDER BY / LIMIT epilogue): every joined tuple of its
+// FROM/WHERE is projected into one reused buffer and handed to visit, so
+// no row set or Result is built. visit must copy whatever it keeps.
+func (q *Query) ForEachRow(db *storage.Database, visit func(row []value.Value)) error {
+	if q.A.IsAgg {
+		return fmt.Errorf("row streaming requires a non-aggregating query, got %q", q.SQL)
+	}
+	return q.eachRow(db, nil, nil, visit)
+}
+
+// eachRow is ForEachRow under overrides: the one projection loop behind
+// the delta terms and the materialized views.
+func (q *Query) eachRow(db *storage.Database, ov Overrides, sov map[int][][]value.Value, visit func(row []value.Value)) error {
 	r := &runner{q: q, db: db, ov: ov, sov: sov}
 	tuples, err := r.joinPhase(q.A, nil)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	out := make([][]value.Value, 0, len(tuples))
+	row := make([]value.Value, len(q.A.OutCols))
 	env := &env{a: q.A}
 	for _, tup := range tuples {
 		env.tuples = tup
 		env.itemVals = nil
-		row, err := r.projectRow(q.A, env)
-		if err != nil {
-			return nil, err
+		if err := r.projectInto(q.A, env, row); err != nil {
+			return err
 		}
-		out = append(out, row)
+		visit(row)
 	}
-	return out, nil
+	return nil
 }

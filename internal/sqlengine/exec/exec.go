@@ -336,15 +336,24 @@ func compareForSort(a, b value.Value) int {
 
 func (r *runner) projectRow(a *analyze.Analyzed, e *env) ([]value.Value, error) {
 	row := make([]value.Value, len(a.OutCols))
+	if err := r.projectInto(a, e, row); err != nil {
+		return nil, err
+	}
+	return row, nil
+}
+
+// projectInto evaluates the select list over e into row, which must hold
+// len(a.OutCols) values.
+func (r *runner) projectInto(a *analyze.Analyzed, e *env, row []value.Value) error {
 	for i, oc := range a.OutCols {
 		v, err := r.eval(oc.Expr, e)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		row[i] = v
 	}
 	e.itemVals = row // enables alias references in HAVING/ORDER BY
-	return row, nil
+	return nil
 }
 
 // sourceRows materializes the rows of one FROM source, honoring overrides.

@@ -309,3 +309,29 @@ func TestNotInEmptySubquery(t *testing.T) {
 	// NOT IN over an empty set keeps everything.
 	wantInt(t, runSQL(t, db, "SELECT count(*) FROM User WHERE uid NOT IN (SELECT uid FROM Tweet)"), 4)
 }
+
+// TestStringEqualityOneCollation: every plan that decides string equality
+// — hash join, range comparison, constant filter, GROUP BY and an IN
+// subquery's probe set — agrees that 'ASIA' and 'asia' differ.
+func TestStringEqualityOneCollation(t *testing.T) {
+	a := schema.MustRelation("A", []schema.Attribute{
+		{Name: "id", Type: value.KindInt}, {Name: "x", Type: value.KindString}}, []int{0})
+	b := schema.MustRelation("B", []schema.Attribute{
+		{Name: "id", Type: value.KindInt}, {Name: "y", Type: value.KindString}}, []int{0})
+	db := storage.NewDatabase(schema.MustSchema(a, b))
+	db.Table("A").MustAppend([]value.Value{value.NewInt(1), value.NewString("ASIA")})
+	db.Table("A").MustAppend([]value.Value{value.NewInt(2), value.NewString("asia")})
+	db.Table("B").MustAppend([]value.Value{value.NewInt(1), value.NewString("asia")})
+	for sql, want := range map[string]int{
+		"SELECT A.id FROM A, B WHERE A.x = B.y":                 1,
+		"SELECT A.id FROM A, B WHERE A.x <= B.y AND A.x >= B.y": 1,
+		"SELECT id FROM A WHERE x = 'asia'":                     1,
+		"SELECT x, count(*) FROM A GROUP BY x":                  2,
+		"SELECT DISTINCT x FROM A":                              2,
+		"SELECT id FROM A WHERE x IN (SELECT y FROM B)":         1,
+	} {
+		if rows := runSQL(t, db, sql); len(rows) != want {
+			t.Errorf("%s: %d rows %v, want %d", sql, len(rows), rows, want)
+		}
+	}
+}

@@ -20,10 +20,12 @@
 //     whether any key's count crosses zero — the exact condition for the
 //     DISTINCT output (a set) to change.
 //
-// Views are built outside the cache mutex (builds run the join pipeline)
-// and published with a store-if-still-absent handoff: concurrent builders
-// race benignly, the first stored pointer wins, and all readers share it
-// read-only afterwards.
+// A build is one streaming pass: each joined tuple is projected into one
+// reused row buffer and folded into the view as it is produced, so no row
+// set is materialized. Views are built outside the cache mutex (builds
+// run the join pipeline) and published with a store-if-still-absent
+// handoff: concurrent builders race benignly, the first stored pointer
+// wins, and all readers share it read-only afterwards.
 
 package exec
 
@@ -85,11 +87,16 @@ type MultiplicityView struct {
 }
 
 // GroupView returns the (building or cached) aggregate view of this query
-// under spec. The query must be a plain SPJ whose output rows match the
-// spec layout — in practice the checker's unrolled aggregate query.
-func (q *Query) GroupView(db *storage.Database, spec GroupViewSpec) (*GroupView, error) {
+// under spec. The query must be a plain SPJ whose output rows start with
+// the spec layout — in practice the checker's unrolled aggregate query.
+//
+// A nil visit serves the cached view while its stamps match. A non-nil
+// visit always builds, and is handed every projected row of that pass
+// (a reused buffer: copy what you keep), so the caller can collect more
+// state from the same join; the fresh view is still published.
+func (q *Query) GroupView(db *storage.Database, spec GroupViewSpec, visit func(row []value.Value)) (*GroupView, error) {
 	key := groupViewKey(spec)
-	v, err := q.fetchView(db, key, func() (any, error) { return q.buildGroupView(db, spec) })
+	v, err := q.fetchView(db, key, visit != nil, func() (any, error) { return q.buildGroupView(db, spec, visit) })
 	if err != nil {
 		return nil, err
 	}
@@ -99,7 +106,7 @@ func (q *Query) GroupView(db *storage.Database, spec GroupViewSpec) (*GroupView,
 // MultiplicityView returns the (building or cached) core-row multiplicity
 // view of this non-aggregating query.
 func (q *Query) MultiplicityView(db *storage.Database) (*MultiplicityView, error) {
-	v, err := q.fetchView(db, "mult", func() (any, error) { return q.buildMultiplicityView(db) })
+	v, err := q.fetchView(db, "mult", false, func() (any, error) { return q.buildMultiplicityView(db) })
 	if err != nil {
 		return nil, err
 	}
@@ -156,8 +163,10 @@ func versionsMatch(a, b []uint64) bool {
 }
 
 // fetchView serves a view from the cache when its version stamps still
-// match, building (outside the mutex) and publishing it otherwise.
-func (q *Query) fetchView(db *storage.Database, key string, build func() (any, error)) (any, error) {
+// match, building (outside the mutex) and publishing it otherwise. force
+// skips the lookup: the build always runs, and its result is published
+// unless a current view is already stored.
+func (q *Query) fetchView(db *storage.Database, key string, force bool, build func() (any, error)) (any, error) {
 	vers, cacheable := q.tableVersions(db)
 	if !cacheable {
 		return build()
@@ -165,7 +174,7 @@ func (q *Query) fetchView(db *storage.Database, key string, build func() (any, e
 	c := &q.cache
 	c.mu.Lock()
 	c.resetLocked(db)
-	if cv := c.views[key]; cv != nil && versionsMatch(cv.versions, vers) {
+	if cv := c.views[key]; cv != nil && !force && versionsMatch(cv.versions, vers) {
 		c.hits++
 		c.mu.Unlock()
 		return cv.val, nil
@@ -192,19 +201,19 @@ func (q *Query) fetchView(db *storage.Database, key string, build func() (any, e
 	return val, nil
 }
 
-func (q *Query) buildGroupView(db *storage.Database, spec GroupViewSpec) (*GroupView, error) {
-	rows, err := q.rawRows(db, nil, nil)
-	if err != nil {
-		return nil, err
+func (q *Query) buildGroupView(db *storage.Database, spec GroupViewSpec, visit func(row []value.Value)) (*GroupView, error) {
+	if len(q.A.OutCols) < spec.NumGroups {
+		return nil, fmt.Errorf("group view row narrower than its %d group columns", spec.NumGroups)
 	}
 	na := len(spec.Aggs)
 	gv := &GroupView{Groups: make(map[string]*GroupAgg)}
-	for _, row := range rows {
-		if len(row) < spec.NumGroups {
-			return nil, fmt.Errorf("group view row narrower than its %d group columns", spec.NumGroups)
+	var key []byte
+	err := q.eachRow(db, nil, nil, func(row []value.Value) {
+		if visit != nil {
+			visit(row)
 		}
-		k := value.Key(row[:spec.NumGroups])
-		st := gv.Groups[k]
+		key = value.AppendKey(key[:0], row[:spec.NumGroups])
+		st := gv.Groups[string(key)]
 		if st == nil {
 			st = &GroupAgg{N: make([]int64, na), Sum: make([]float64, na),
 				Min: make([]value.Value, na), Max: make([]value.Value, na)}
@@ -219,7 +228,7 @@ func (q *Query) buildGroupView(db *storage.Database, spec GroupViewSpec) (*Group
 					}
 				}
 			}
-			gv.Groups[k] = st
+			gv.Groups[string(key)] = st
 		}
 		st.Rows++
 		for j, ag := range spec.Aggs {
@@ -237,41 +246,52 @@ func (q *Query) buildGroupView(db *storage.Database, spec GroupViewSpec) (*Group
 				} else if cmp, ok := value.Compare(v, st.Min[j]); ok && cmp < 0 {
 					st.Min[j] = v
 				}
-				st.addCand(j, v)
+				key = st.addCand(j, v, key)
 			case "MAX":
 				if st.Max[j].IsNull() {
 					st.Max[j] = v
 				} else if cmp, ok := value.Compare(v, st.Max[j]); ok && cmp > 0 {
 					st.Max[j] = v
 				}
-				st.addCand(j, v)
+				key = st.addCand(j, v, key)
 			}
 		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	return gv, nil
 }
 
-func (st *GroupAgg) addCand(j int, v value.Value) {
+// addCand counts v in aggregate j's candidate multiset, using buf as key
+// scratch space; it returns the (possibly grown) buffer.
+func (st *GroupAgg) addCand(j int, v value.Value, buf []byte) []byte {
 	if st.Cand == nil || st.Cand[j] == nil {
-		return
+		return buf
 	}
-	k := value.Key([]value.Value{v})
-	e := st.Cand[j][k]
-	if e.N == 0 {
+	buf = value.AppendKey(buf[:0], []value.Value{v})
+	e, ok := st.Cand[j][string(buf)]
+	if !ok {
 		e.Val = v
 	}
 	e.N++
-	st.Cand[j][k] = e
+	st.Cand[j][string(buf)] = e
+	return buf
 }
 
 func (q *Query) buildMultiplicityView(db *storage.Database) (*MultiplicityView, error) {
-	rows, err := q.rawRows(db, nil, nil)
+	mv := &MultiplicityView{Counts: make(map[string]int)}
+	var key []byte
+	err := q.eachRow(db, nil, nil, func(row []value.Value) {
+		key = value.AppendKey(key[:0], row)
+		if n, ok := mv.Counts[string(key)]; ok {
+			mv.Counts[string(key)] = n + 1
+		} else {
+			mv.Counts[string(key)] = 1
+		}
+	})
 	if err != nil {
 		return nil, err
-	}
-	mv := &MultiplicityView{Counts: make(map[string]int, len(rows))}
-	for _, row := range rows {
-		mv.Counts[value.Key(row)]++
 	}
 	return mv, nil
 }

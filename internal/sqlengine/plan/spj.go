@@ -8,7 +8,8 @@
 //     (the augmented query Q̂ of §4.1);
 //   - for aggregates, the unrolled query Q◦γ = π_{G, args} σ_C (…), which
 //     exposes group keys and aggregate inputs per contributing join row
-//     (§4.3).
+//     (§4.3), extended by the contribution query's primary-key columns so
+//     that one pass over σ_C (R₁ × … × R_ℓ) yields both.
 package plan
 
 import (
@@ -70,8 +71,13 @@ type SPJ struct {
 	ContribOff  []int
 	ContribPKW  []int // width (number of PK columns) per source
 
-	// UnrolledStmt is Q◦γ for aggregation queries (nil for plain SPJ).
+	// UnrolledStmt is an aggregate checker's one base statement,
+	// π_{G, arg₁…arg_k, P₁…P_ℓ} σ_C (R₁ × … × R_ℓ): the NumGroups group
+	// columns and one argument column per aggregate (Q◦γ), then
+	// ContribStmt's primary-key columns from column UnrolledPK on, so
+	// source i's key sits at UnrolledPK+ContribOff[i]. nil for plain SPJ.
 	UnrolledStmt *ast.SelectStmt
+	UnrolledPK   int
 }
 
 // Extract builds the SPJ form, or returns an error describing why the
@@ -288,8 +294,9 @@ func (s *SPJ) buildContrib() {
 	s.ContribStmt = stmt
 }
 
-// buildUnrolled constructs Q◦γ = π_{G, arg₁…arg_k} σ_C (R₁ × … × R_ℓ).
-// COUNT(*) contributes the constant 1 as its argument column.
+// buildUnrolled constructs π_{G, arg₁…arg_k, P₁…P_ℓ} σ_C (R₁ × … × R_ℓ):
+// Q◦γ followed by the contribution query's key columns. COUNT(*)
+// contributes the constant 1 as its argument column.
 func (s *SPJ) buildUnrolled() {
 	a := s.A
 	stmt := &ast.SelectStmt{From: a.Stmt.From, Where: a.Stmt.Where, Limit: -1}
@@ -308,6 +315,8 @@ func (s *SPJ) buildUnrolled() {
 		s.Aggs = append(s.Aggs, spec)
 		col++
 	}
+	s.UnrolledPK = col
+	stmt.Items = append(stmt.Items, s.ContribStmt.Items...)
 	s.UnrolledStmt = stmt
 }
 

@@ -109,9 +109,9 @@ func TestAggregateExtraction(t *testing.T) {
 	if !s.HasCountStar {
 		t.Fatal("count(*) flag")
 	}
-	// Unrolled query: group col + 2 agg args.
-	if len(s.UnrolledStmt.Items) != 3 {
-		t.Fatalf("unrolled items: %v", s.UnrolledStmt.Items)
+	// Unrolled query: group col + 2 agg args, then the orders PK column.
+	if len(s.UnrolledStmt.Items) != 4 || s.UnrolledPK != 3 {
+		t.Fatalf("unrolled items: %v (PK at %d)", s.UnrolledStmt.Items, s.UnrolledPK)
 	}
 	if s.Aggs[0].ArgCol != 1 || s.Aggs[1].ArgCol != 2 {
 		t.Fatalf("arg cols: %+v", s.Aggs)

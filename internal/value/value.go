@@ -154,14 +154,15 @@ func (v Value) String() string {
 
 // SQL renders the value as a SQL literal.
 func (v Value) SQL() string {
-	switch v.K {
-	case KindString:
+	switch {
+	case v.K == KindString:
 		return "'" + strings.ReplaceAll(v.S, "'", "''") + "'"
-	case KindDate:
+	case v.K == KindDate:
 		return "date '" + v.Time().Format("2006-01-02") + "'"
-	default:
-		return v.String()
+	case v.K == KindFloat && v.F == 0 && math.Signbit(v.F):
+		return "-0.0" // "-0" would re-parse as the integer 0
 	}
+	return v.String()
 }
 
 // Compare orders two non-NULL values. Numeric kinds (int, float) compare
@@ -459,7 +460,7 @@ func (v Value) HashInto(h interface{ Write([]byte) (int, error) }) {
 	case KindString:
 		buf[0] = 3
 		h.Write(buf[:1])
-		h.Write([]byte(strings.ToLower(v.S)))
+		h.Write([]byte(v.S))
 		buf[0] = 0xFF
 		h.Write(buf[:1])
 	}
@@ -482,35 +483,38 @@ func HashRow(row []Value) uint64 {
 }
 
 // Key renders a tuple as a canonical string usable as a map key (used for
-// primary-key indexes and group-by keys).
+// primary-key indexes and group-by keys). Integral floats key as their
+// integer, and strings key case-preserving, so that string keys agree
+// with Compare and Equal.
 func Key(vals []Value) string {
-	var sb strings.Builder
+	var buf [64]byte // most keys fit: the string conversion is the only allocation
+	return string(AppendKey(buf[:0], vals))
+}
+
+// AppendKey appends Key(vals) to dst and returns the extended buffer. With
+// a reused buffer, a map lookup m[string(buf)] costs no allocation.
+func AppendKey(dst []byte, vals []Value) []byte {
 	for _, v := range vals {
 		switch v.K {
 		case KindNull:
-			sb.WriteByte(0)
+			dst = append(dst, 0)
 		case KindInt, KindBool, KindDate:
-			sb.WriteByte(1)
-			var b [8]byte
-			putInt64(b[:], v.I)
-			sb.Write(b[:])
+			dst = appendInt64(append(dst, 1), v.I)
 		case KindFloat:
 			if v.F == math.Trunc(v.F) && math.Abs(v.F) < 1e18 {
-				sb.WriteByte(1)
-				var b [8]byte
-				putInt64(b[:], int64(v.F))
-				sb.Write(b[:])
+				dst = appendInt64(append(dst, 1), int64(v.F))
 			} else {
-				sb.WriteByte(2)
-				var b [8]byte
-				putInt64(b[:], int64(math.Float64bits(v.F)))
-				sb.Write(b[:])
+				dst = appendInt64(append(dst, 2), int64(math.Float64bits(v.F)))
 			}
 		case KindString:
-			sb.WriteByte(3)
-			sb.WriteString(strings.ToLower(v.S))
-			sb.WriteByte(0xFF)
+			dst = append(append(append(dst, 3), v.S...), 0xFF)
 		}
 	}
-	return sb.String()
+	return dst
+}
+
+func appendInt64(dst []byte, v int64) []byte {
+	var b [8]byte
+	putInt64(b[:], v)
+	return append(dst, b[:]...)
 }

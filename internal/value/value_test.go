@@ -275,3 +275,21 @@ func TestFloatHashIntegralNormalization(t *testing.T) {
 		t.Fatal("distinct floats should differ")
 	}
 }
+
+// Key and Hash follow Compare's case-sensitive string collation, so a
+// grouping or hash-join key never merges values a comparison separates.
+func TestStringKeyCasePreserving(t *testing.T) {
+	up, low := NewString("ASIA"), NewString("asia")
+	if Equal(up, low) {
+		t.Fatal("Equal is case-sensitive")
+	}
+	if Key([]Value{up}) == Key([]Value{low}) || up.Hash() == low.Hash() {
+		t.Fatal("Key/Hash must not fold case")
+	}
+	if !Like("ASIA", "asia") {
+		t.Fatal("LIKE stays case-insensitive")
+	}
+	if got := string(AppendKey([]byte("x"), []Value{up, NewInt(1)})); got != "x"+Key([]Value{up, NewInt(1)}) {
+		t.Fatal("AppendKey must extend its buffer with Key")
+	}
+}
